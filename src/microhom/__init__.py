@@ -69,8 +69,6 @@ from .solver import SolverConfig, SolveResult, convergence_metric, solve_unit_lo
 from .voigt import (
     IsotropicProps,
     Lame,
-    contract_42,
-    contract_44,
     effective_enu,
     lame_from_enu,
     stiffness_from_enu,

@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Runs are driven by JSON config files; individual keys can be overridden on
-the command line with dotted paths (--set solver.tol=1e-8).  Every run
-writes the fully resolved config next to its outputs so it can be reproduced
-bitwise, plus a machine-readable summary JSON.  Diagnostics go to stderr.
+the command line with dotted paths (--set solver.tol=1e-8).  Every config is
+overlaid on one tree of defaults (microhom.config.resolve): an unknown key,
+or a value whose shape (object, array or scalar) differs from its default,
+is a usage error that names the dotted path.  Every run writes the resolved
+config, every default included (also the plate's micro.solver), next to its
+outputs so it can be reproduced bitwise, plus a machine-readable summary
+JSON.  Diagnostics go to stderr.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -22,6 +26,7 @@ import numpy as np
 from . import dataset as dataset_mod
 from . import plate as plate_mod
 from .arrayio import read_array, write_array, write_pgm
+from .config import resolve
 from .errors import ConfigError, DomainError
 from .homogenization import (
     anisotropy_indicator,
@@ -71,12 +76,6 @@ def _load_config(args) -> dict:
     return cfg
 
 
-def _check_keys(cfg: dict, allowed, context: str):
-    unknown = set(cfg) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-
-
 def _echo_config(out: Path, cfg: dict):
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
@@ -89,97 +88,84 @@ def _write_summary(out: Path, summary: dict, summary_path=None):
     return path
 
 
+_PROPS = {"E": None, "nu": None}
+_SOLVER = asdict(SolverConfig())
+_SPINODAL = asdict(SpinodalParams())
+_RVE_KINDS = ("file", "uniform", "fiber", "spinodal")
+_RVE_DEFAULTS = {
+    "file": None,
+    "uniform": None,
+    "fiber": {"vof": 0.5, "r_mean": 3.5, "r_std_frac": 0.01, "seed": 0, "gap_frac": 0.1},
+    "spinodal": {**_SPINODAL, "seed": 0},
+    "resolution": [128, 128],
+}
+
+
 def _props(cfg: dict, key: str) -> IsotropicProps:
-    node = cfg.get(key)
-    if not isinstance(node, dict) or set(node) != {"E", "nu"}:
+    node = cfg[key]
+    if None in node.values():
         raise ConfigError(f"{key!r} must be an object with keys E and nu")
     return IsotropicProps(float(node["E"]), float(node["nu"]))
 
 
-def _solver_config(cfg: dict) -> SolverConfig:
-    node = cfg.get("solver", {})
-    _check_keys(node, SolverConfig.__dataclass_fields__, "solver")
-    return SolverConfig(**node)
+def _cell_config(args, **defaults) -> dict:
+    """Resolve a config with an 'rve' node, a 'domain' and `defaults`.
+
+    The 'rve' node keeps only the first cell kind of _RVE_KINDS the user
+    gave (plus its resolution), so the echoed config reruns the same cell.
+    """
+    raw = _load_config(args)
+    cfg = resolve({"rve": _RVE_DEFAULTS, "domain": [50.0, 50.0], **defaults}, raw)
+    given = raw.get("rve", {})
+    kind = next((k for k in _RVE_KINDS if k in given), None)
+    if kind is None:
+        raise ConfigError("'rve' needs one of: " + ", ".join(_RVE_KINDS))
+    node = cfg["rve"]
+    if kind == "uniform" and int(node["uniform"]) not in (0, 1):
+        raise ConfigError("'rve.uniform' must be 0 or 1")
+    if kind == "file":
+        cfg["rve"] = {"file": str(node["file"])}
+    else:
+        cfg["rve"] = {kind: node[kind], "resolution": node["resolution"]}
+    return cfg
 
 
-_RVE_KEYS = {"file", "uniform", "fiber", "spinodal", "resolution"}
-
-
-def _normalized_rve(cfg: dict) -> dict:
-    """Validate the 'rve' config node and fill its defaults, so the echoed
-    config reproduces the run without relying on implicit values."""
-    node = cfg.get("rve")
-    if not isinstance(node, dict):
-        raise ConfigError("'rve' must be an object")
-    _check_keys(node, _RVE_KEYS, "rve")
-    if "file" in node:
-        return {"file": str(node["file"])}
-    resolution = [int(r) for r in node.get("resolution", [128, 128])]
-    if "uniform" in node:
-        phase = int(node["uniform"])
-        if phase not in (0, 1):
-            raise ConfigError("'rve.uniform' must be 0 or 1")
-        return {"uniform": phase, "resolution": resolution}
-    if "fiber" in node:
-        sub = dict(node["fiber"])
-        _check_keys(sub, {"vof", "r_mean", "r_std_frac", "seed", "gap_frac"}, "rve.fiber")
-        return {
-            "fiber": {
-                "vof": float(sub.get("vof", 0.5)),
-                "r_mean": float(sub.get("r_mean", 3.5)),
-                "r_std_frac": float(sub.get("r_std_frac", 0.01)),
-                "seed": int(sub.get("seed", 0)),
-                "gap_frac": float(sub.get("gap_frac", 0.1)),
-            },
-            "resolution": resolution,
-        }
-    if "spinodal" in node:
-        sub = dict(node["spinodal"])
-        seed = int(sub.pop("seed", 0))
-        _check_keys(sub, SpinodalParams.__dataclass_fields__, "rve.spinodal")
-        return {
-            "spinodal": {**asdict(SpinodalParams(**sub)), "seed": seed},
-            "resolution": resolution,
-        }
-    raise ConfigError("'rve' needs one of: file, uniform, fiber, spinodal")
-
-
-def _resolve_rve(node: dict, domain) -> Microstructure:
-    """Materialize a normalized 'rve' node: a stored grid, a uniform phase,
+def _build_rve(node: dict, domain) -> Microstructure:
+    """Materialize a resolved 'rve' node: a stored grid, a uniform phase,
     or a generated fiber/spinodal cell."""
     if "file" in node:
-        grid = read_array(node["file"]).astype(np.uint8)
+        grid = read_array(node["file"])
+        if not np.isin(grid, (0, 1)).all():
+            raise DomainError(f"{node['file']}: grid values must be 0 or 1")
+        grid = grid.astype(np.uint8)
         return Microstructure(grid, tuple(domain), float(grid.mean()), seed=-1, kind="file")
-    resolution = node["resolution"]
+    resolution = [int(r) for r in node["resolution"]]
     if "uniform" in node:
-        grid = np.full(tuple(resolution), node["uniform"], dtype=np.uint8)
-        return Microstructure(
-            grid, tuple(domain), float(node["uniform"]), seed=-1, kind="uniform"
-        )
+        phase = int(node["uniform"])
+        grid = np.full(tuple(resolution), phase, dtype=np.uint8)
+        return Microstructure(grid, tuple(domain), float(phase), seed=-1, kind="uniform")
     if "fiber" in node:
         sub = node["fiber"]
         return generate_fiber_rve(
-            vof_target=sub["vof"],
-            r_mean=sub["r_mean"],
-            r_std_frac=sub["r_std_frac"],
+            vof_target=float(sub["vof"]),
+            r_mean=float(sub["r_mean"]),
+            r_std_frac=float(sub["r_std_frac"]),
             domain=domain,
             resolution=resolution,
-            seed=sub["seed"],
-            gap_frac=sub["gap_frac"],
+            seed=int(sub["seed"]),
+            gap_frac=float(sub["gap_frac"]),
         )
     sub = dict(node["spinodal"])
-    seed = sub.pop("seed")
+    seed = int(sub.pop("seed"))
     return generate_spinodal_rve(SpinodalParams(**sub), domain, resolution, seed)
 
 
 def _cmd_gen_rve(args) -> int:
-    cfg = _load_config(args)
-    _check_keys(cfg, {"rve", "domain"}, "gen-rve")
-    domain = [float(v) for v in cfg.get("domain", [50.0, 50.0])]
-    node = _normalized_rve(cfg)
+    cfg = _cell_config(args)
+    domain = [float(v) for v in cfg["domain"]]
     out = Path(args.out)
-    _echo_config(out, {"rve": node, "domain": domain})
-    rve = _resolve_rve(node, domain)
+    _echo_config(out, cfg)
+    rve = _build_rve(cfg["rve"], domain)
     write_array(out / "rve.u8.bin", rve.grid)
     if args.pgm:
         write_pgm(out / "rve.pgm", rve.grid.astype(float))
@@ -197,27 +183,17 @@ def _cmd_gen_rve(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    _check_keys(
-        cfg,
-        {"rve", "domain", "fiber_props", "matrix_props", "macro_strain", "solver"},
-        "solve",
+    cfg = _cell_config(
+        args, fiber_props=_PROPS, matrix_props=_PROPS,
+        macro_strain=[1.0, 0.0, 0.0], solver=_SOLVER,
     )
-    domain = [float(v) for v in cfg.get("domain", [50.0, 50.0])]
-    node = _normalized_rve(cfg)
+    domain = [float(v) for v in cfg["domain"]]
+    macro = [float(v) for v in cfg["macro_strain"]]
     fiber, matrix = _props(cfg, "fiber_props"), _props(cfg, "matrix_props")
-    solver = _solver_config(cfg)
-    macro = [float(v) for v in cfg.get("macro_strain", [1.0, 0.0, 0.0])]
+    solver = SolverConfig(**cfg["solver"])
     out = Path(args.out)
-    _echo_config(out, {
-        "rve": node,
-        "domain": domain,
-        "fiber_props": asdict(fiber),
-        "matrix_props": asdict(matrix),
-        "macro_strain": macro,
-        "solver": asdict(solver),
-    })
-    rve = _resolve_rve(node, domain)
+    _echo_config(out, cfg)
+    rve = _build_rve(cfg["rve"], domain)
     c_field = assign_properties(rve, fiber, matrix)
     result = solve_unit_load(c_field, macro, solver, domain=domain)
     write_array(out / "strain.f64.bin", result.strain)
@@ -234,21 +210,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_homogenize(args) -> int:
-    cfg = _load_config(args)
-    _check_keys(cfg, {"rve", "domain", "fiber_props", "matrix_props", "solver"}, "homogenize")
-    domain = [float(v) for v in cfg.get("domain", [50.0, 50.0])]
-    node = _normalized_rve(cfg)
+    cfg = _cell_config(args, fiber_props=_PROPS, matrix_props=_PROPS, solver=_SOLVER)
+    domain = [float(v) for v in cfg["domain"]]
     fiber, matrix = _props(cfg, "fiber_props"), _props(cfg, "matrix_props")
-    solver = _solver_config(cfg)
+    solver = SolverConfig(**cfg["solver"])
     out = Path(args.out)
-    _echo_config(out, {
-        "rve": node,
-        "domain": domain,
-        "fiber_props": asdict(fiber),
-        "matrix_props": asdict(matrix),
-        "solver": asdict(solver),
-    })
-    rve = _resolve_rve(node, domain)
+    _echo_config(out, cfg)
+    rve = _build_rve(cfg["rve"], domain)
     c_field = assign_properties(rve, fiber, matrix)
     conc = strain_concentration(c_field, solver, domain=domain)
     cbar, asym = homogenized_stiffness(c_field, conc)
@@ -330,20 +298,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_gen_spinodal(args) -> int:
-    cfg = _load_config(args)
-    _check_keys(
-        cfg,
-        {"domain", "resolution", "seed"} | set(SpinodalParams.__dataclass_fields__),
-        "gen-spinodal",
+    cfg = resolve(
+        {"domain": [50.0, 50.0], "resolution": [256, 256], "seed": 0, **_SPINODAL},
+        _load_config(args),
     )
-    domain = [float(v) for v in cfg.pop("domain", [50.0, 50.0])]
-    resolution = [int(r) for r in cfg.pop("resolution", [256, 256])]
-    seed = int(cfg.pop("seed", 0))
-    params = SpinodalParams(**cfg)
+    domain = [float(v) for v in cfg["domain"]]
+    resolution = [int(r) for r in cfg["resolution"]]
+    seed = int(cfg["seed"])
+    params = SpinodalParams(**{key: cfg[key] for key in _SPINODAL})
     out = Path(args.out)
-    _echo_config(
-        out, {"domain": domain, "resolution": resolution, "seed": seed, **asdict(params)}
-    )
+    _echo_config(out, cfg)
     rve = generate_spinodal_rve(params, domain, resolution, seed)
     write_array(out / "rve.u8.bin", rve.grid)
     if args.pgm:

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .arrayio import read_array, read_header, write_array
-from .errors import ConfigError, DomainError
+from .config import resolve
+from .errors import DomainError
 from .homogenization import strain_concentration
 from .microstructure import assign_properties, generate_fiber_rve
 from .solver import SolverConfig
@@ -72,21 +73,11 @@ class DatasetConfig:
 
 def config_from_dict(raw: dict) -> DatasetConfig:
     """Build a DatasetConfig from parsed JSON, rejecting unknown keys."""
-    raw = dict(raw)
-    solver_raw = raw.pop("solver", {})
-    known = set(DatasetConfig.__dataclass_fields__) - {"solver"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown dataset config keys: {sorted(unknown)}")
-    solver_known = set(SolverConfig.__dataclass_fields__)
-    bad = set(solver_raw) - solver_known
-    if bad:
-        raise ConfigError(f"unknown solver config keys: {sorted(bad)}")
-    for key in ("resolution", "domain_size", "vof_range", "fiber_E_bounds",
-                "fiber_nu_bounds", "matrix_E_bounds", "matrix_nu_bounds"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    return DatasetConfig(solver=SolverConfig(**solver_raw), **raw)
+    cfg = resolve(config_to_dict(DatasetConfig()), raw)
+    solver = SolverConfig(**cfg.pop("solver"))
+    return DatasetConfig(
+        solver=solver, **{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
+    )
 
 
 def config_to_dict(cfg: DatasetConfig) -> dict:
@@ -121,18 +112,17 @@ def lhs_sample(n: int, bounds, seed: int) -> np.ndarray:
 
 
 def stratify_vof(n: int, vof_range, groups: int) -> np.ndarray:
-    """Equally sized blocks over an evenly spaced grid of `groups` volume
-    fractions spanning [lo, hi]; a single group degenerates to lo."""
+    """Blocks of ceil(n / groups) copies of each of `groups` evenly spaced
+    volume fractions spanning [lo, hi], cut to n; a single group degenerates
+    to lo."""
     lo, hi = float(vof_range[0]), float(vof_range[1])
     if groups < 1:
         raise DomainError(f"groups must be >= 1, got {groups}")
-    if n % groups != 0:
-        raise DomainError(f"n ({n}) must be divisible by groups ({groups})")
     if groups == 1:
         values = np.array([lo])
     else:
         values = lo + np.arange(groups) * (hi - lo) / (groups - 1)
-    return np.repeat(values, n // groups)
+    return np.repeat(values, -(-n // groups))[:n]
 
 
 def sample_seed(master_seed: int, index: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -26,8 +26,9 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .arrayio import read_array, write_array
-from .dataset import sample_seed
-from .errors import ConfigError, DomainError, MeshError, NonConvergenceError
+from .config import resolve
+from .dataset import sample_seed, stratify_vof
+from .errors import DomainError, MeshError, NonConvergenceError
 from .homogenization import homogenized_stiffness, strain_concentration
 from .microstructure import assign_properties, generate_fiber_rve
 from .solver import SolverConfig
@@ -426,32 +427,17 @@ _MULTISCALE_DEFAULTS = {
         "n_vof_groups": 20,
         "nu_fiber": 0.2,
         "nu_matrix": 0.35,
-        "solver": {},
+        "solver": asdict(SolverConfig()),
     },
     "grf_fiber": {"mean": 74.0, "std": 2.0, "corr_length": 0.1, "seed": 1},
     "grf_matrix": {"mean": 3.35, "std": 0.1, "corr_length": 0.1, "seed": 2},
 }
 
 
-def _merged_config(raw: dict) -> dict:
-    cfg = json.loads(json.dumps(_MULTISCALE_DEFAULTS))
-    for key, value in raw.items():
-        if key not in cfg:
-            raise ConfigError(f"unknown multiscale config key {key!r}")
-        if isinstance(value, dict):
-            unknown = set(value) - set(cfg[key])
-            if unknown:
-                raise ConfigError(f"unknown keys under {key!r}: {sorted(unknown)}")
-            cfg[key].update(value)
-        else:
-            cfg[key] = value
-    return cfg
-
-
 def run_multiscale(raw_config: dict, out_dir) -> dict:
     """Full two-scale run driven by a config dict; writes per-step states and
     a reaction-force summary, returns the summary."""
-    cfg = _merged_config(raw_config)
+    cfg = resolve(_MULTISCALE_DEFAULTS, raw_config)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
@@ -471,10 +457,7 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
     else:
         ef_field = kl_field(mesh, GRFConfig(**cfg["grf_fiber"]))
         em_field = kl_field(mesh, GRFConfig(**cfg["grf_matrix"]))
-        lo, hi = micro["vof_range"]
-        groups = micro["n_vof_groups"]
-        values = np.array([lo]) if groups == 1 else lo + np.arange(groups) * (hi - lo) / (groups - 1)
-        vofs = np.resize(np.repeat(values, -(-n_el // groups)), n_el)
+        vofs = stratify_vof(n_el, micro["vof_range"], micro["n_vof_groups"])
         vofs = np.random.default_rng(cfg["seed"]).permutation(vofs)
 
         def solve_element(e: int) -> ElementMicro:

@@ -94,16 +94,6 @@ def effective_enu(cbar: np.ndarray) -> IsotropicProps:
     return IsotropicProps(E, nu)
 
 
-def contract_42(c: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Fourth-order : second-order contraction, e.g. sigma = C : eps."""
-    return np.asarray(c) @ np.asarray(e)
-
-
-def contract_44(c: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Fourth-order :: fourth-order contraction as a 3x3 matrix product."""
-    return np.asarray(c) @ np.asarray(a)
-
-
 def stiffness_from_enu(props: IsotropicProps) -> np.ndarray:
     """Shorthand for stiffness_from_lame(lame_from_enu(props))."""
     return stiffness_from_lame(lame_from_enu(props))

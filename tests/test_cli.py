@@ -24,6 +24,31 @@ class TestUsageErrors:
         cfg = write_config(tmp_path / "c.json", {"bogus": 1})
         assert dispatch(["gen-rve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "command,override",
+        [
+            ("multiscale", "nx.a=1"),
+            ("multiscale", "micro=5"),
+            ("multiscale", "micro.solver.bogus=1"),
+            ("multiscale", "bogus=1"),
+            ("multiscale", "micro.bogus=1"),
+            ("gen-rve", "rve.fiber=0.5"),
+            ("dataset", "solver=5"),
+            ("dataset", "resolution=64"),
+        ],
+    )
+    def test_malformed_config_exits_2_before_echo(self, tmp_path, command, override):
+        out = tmp_path / "o"
+        assert dispatch([command, "--set", override, "--out", str(out)]) == 2
+        assert not (out / "config_echo.json").exists()
+
+    def test_grid_file_outside_0_1_exits_1(self, tmp_path):
+        grid = tmp_path / "grid.f64.bin"
+        write_array(grid, np.full((8, 8), 0.5))
+        assert dispatch([
+            "gen-rve", "--set", f"rve.file={grid}", "--out", str(tmp_path / "o")
+        ]) == 1
+
     def test_domain_error_exits_1(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

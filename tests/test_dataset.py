@@ -62,9 +62,11 @@ class TestStratifyVof:
         assert len(values) == 20
         assert np.all(counts == 2)
 
-    def test_divisibility(self):
-        with pytest.raises(DomainError):
-            stratify_vof(21, (0.4, 0.6), 20)
+    def test_uneven_count_ordering(self):
+        # blocks of ceil(n / groups) labels, the last block cut short
+        assert stratify_vof(7, (0.4, 0.6), 3).tolist() == [0.4] * 3 + [0.5] * 3 + [0.6]
+        first = stratify_vof(20, (0.4, 0.6), 20)[:3]
+        assert np.array_equal(stratify_vof(3, (0.4, 0.6), 20), first)
 
 
 class TestSampleSeed:

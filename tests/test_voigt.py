@@ -1,4 +1,4 @@
-"""Elasticity conversions and Voigt contractions."""
+"""Elasticity conversions."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,6 @@ from microhom.errors import DomainError, SingularityError
 from microhom.voigt import (
     IsotropicProps,
     Lame,
-    contract_42,
-    contract_44,
     effective_enu,
     lame_from_enu,
     stiffness_from_lame,
@@ -91,35 +89,3 @@ class TestEffectiveEnu:
             assert_allclose(props.E, E, rtol=1e-12)
             assert_allclose(props.nu, nu, rtol=1e-12, atol=1e-14)
 
-
-class TestContractions:
-    def test_identity_42(self):
-        e = np.array([0.3, -0.1, 0.7])
-        assert_allclose(contract_42(np.eye(3), e), e)
-
-    def test_shear_at_unit_modulus(self):
-        c = stiffness_from_lame(Lame(0.0, 0.5))
-        assert_allclose(contract_42(c, [0.0, 0.0, 1.0]), [0.0, 0.0, 1.0])
-
-    def test_hand_product(self):
-        c = stiffness_from_lame(Lame(20.5556, 30.8333))
-        assert_allclose(contract_42(c, [1.0, 0.0, 0.0]), [82.2222, 20.5556, 0.0], atol=1e-4)
-
-    def test_identity_44_both_sides(self):
-        rng = np.random.default_rng(3)
-        a = rng.standard_normal((3, 3))
-        assert_allclose(contract_44(a, np.eye(3)), a)
-        assert_allclose(contract_44(np.eye(3), a), a)
-
-    def test_associativity(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            c = rng.standard_normal((3, 3))
-            a = rng.standard_normal((3, 3))
-            e = rng.standard_normal(3)
-            assert_allclose(
-                contract_42(contract_44(c, a), e),
-                contract_42(c, contract_42(a, e)),
-                rtol=1e-12,
-                atol=1e-12,
-            )
