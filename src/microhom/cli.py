@@ -3,11 +3,11 @@
 Runs are driven by JSON config files; individual keys can be overridden on
 the command line with dotted paths (--set solver.tol=1e-8).  Every config is
 overlaid on one tree of defaults (microhom.config.resolve): an unknown key,
-or a value whose shape (object, array or scalar) differs from its default,
-is a usage error that names the dotted path.  Every run writes the resolved
-config, every default included (also the plate's micro.solver), next to its
-outputs so it can be reproduced bitwise, plus a machine-readable summary
-JSON.  Diagnostics go to stderr.
+or a value whose kind (object, array, number, string or boolean) differs
+from its default, is a usage error that names the dotted path.  Every run
+writes the resolved config, every default included (also the plate's
+micro.solver), next to its outputs so it can be reproduced bitwise, plus a
+machine-readable summary JSON.  Diagnostics go to stderr.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -26,7 +26,7 @@ import numpy as np
 from . import dataset as dataset_mod
 from . import plate as plate_mod
 from .arrayio import read_array, write_array, write_pgm
-from .config import resolve
+from .config import kind, resolve
 from .errors import ConfigError, DomainError
 from .homogenization import (
     anisotropy_indicator,
@@ -90,21 +90,20 @@ def _write_summary(out: Path, summary: dict, summary_path=None):
 
 _PROPS = {"E": None, "nu": None}
 _SOLVER = asdict(SolverConfig())
-_SPINODAL = asdict(SpinodalParams())
 _RVE_KINDS = ("file", "uniform", "fiber", "spinodal")
 _RVE_DEFAULTS = {
     "file": None,
     "uniform": None,
     "fiber": {"vof": 0.5, "r_mean": 3.5, "r_std_frac": 0.01, "seed": 0, "gap_frac": 0.1},
-    "spinodal": {**_SPINODAL, "seed": 0},
+    "spinodal": {**asdict(SpinodalParams()), "seed": 0},
     "resolution": [128, 128],
 }
 
 
 def _props(cfg: dict, key: str) -> IsotropicProps:
     node = cfg[key]
-    if None in node.values():
-        raise ConfigError(f"{key!r} must be an object with keys E and nu")
+    if any(kind(v) != "a number" for v in node.values()):
+        raise ConfigError(f"{key!r} must be an object with numeric E and nu")
     return IsotropicProps(float(node["E"]), float(node["nu"]))
 
 
@@ -117,16 +116,17 @@ def _cell_config(args, **defaults) -> dict:
     raw = _load_config(args)
     cfg = resolve({"rve": _RVE_DEFAULTS, "domain": [50.0, 50.0], **defaults}, raw)
     given = raw.get("rve", {})
-    kind = next((k for k in _RVE_KINDS if k in given), None)
-    if kind is None:
+    cell = next((k for k in _RVE_KINDS if k in given), None)
+    if cell is None:
         raise ConfigError("'rve' needs one of: " + ", ".join(_RVE_KINDS))
     node = cfg["rve"]
-    if kind == "uniform" and int(node["uniform"]) not in (0, 1):
+    uniform = node["uniform"]
+    if cell == "uniform" and (kind(uniform) != "a number" or uniform not in (0, 1)):
         raise ConfigError("'rve.uniform' must be 0 or 1")
-    if kind == "file":
+    if cell == "file":
         cfg["rve"] = {"file": str(node["file"])}
     else:
-        cfg["rve"] = {kind: node[kind], "resolution": node["resolution"]}
+        cfg["rve"] = {cell: node[cell], "resolution": node["resolution"]}
     return cfg
 
 
@@ -176,6 +176,7 @@ def _cmd_gen_rve(args) -> int:
         "achieved_vof": rve.achieved_vof,
         "seed": rve.seed,
         "n_fibers": None if rve.centers_radii is None else len(rve.centers_radii),
+        "metadata": rve.metadata,
     }
     _write_summary(out, summary, args.summary)
     _log(args.verbose, f"wrote {out / 'rve.u8.bin'} (vof {rve.achieved_vof:.4f})")
@@ -297,32 +298,6 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_gen_spinodal(args) -> int:
-    cfg = resolve(
-        {"domain": [50.0, 50.0], "resolution": [256, 256], "seed": 0, **_SPINODAL},
-        _load_config(args),
-    )
-    domain = [float(v) for v in cfg["domain"]]
-    resolution = [int(r) for r in cfg["resolution"]]
-    seed = int(cfg["seed"])
-    params = SpinodalParams(**{key: cfg[key] for key in _SPINODAL})
-    out = Path(args.out)
-    _echo_config(out, cfg)
-    rve = generate_spinodal_rve(params, domain, resolution, seed)
-    write_array(out / "rve.u8.bin", rve.grid)
-    if args.pgm:
-        write_pgm(out / "rve.pgm", rve.grid.astype(float))
-    summary = {
-        "kind": rve.kind,
-        "resolution": list(rve.grid.shape),
-        "hard_fraction": rve.achieved_vof,
-        "mean_concentration": rve.metadata["mean_concentration"],
-        "seed": seed,
-    }
-    _write_summary(out, summary, args.summary)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="microhom",
@@ -337,18 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override a config key (dotted path, JSON value)")
         p.add_argument("--out", default=out_default, help="output directory")
         p.add_argument("--summary", help="summary JSON path (default <out>/summary.json)")
-        p.add_argument("--threads", type=int, help="worker pool size")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("gen-rve", help="generate a microstructure")
     common(p, "rve_out")
     p.add_argument("--pgm", action="store_true", help="also export a PGM image")
     p.set_defaults(func=_cmd_gen_rve)
-
-    p = sub.add_parser("gen-spinodal", help="generate a spinodal microstructure")
-    common(p, "spinodal_out")
-    p.add_argument("--pgm", action="store_true", help="also export a PGM image")
-    p.set_defaults(func=_cmd_gen_spinodal)
 
     p = sub.add_parser("solve", help="solve one cell under a macro strain")
     common(p, "solve_out")
@@ -360,10 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dataset", help="batch-produce a labeled dataset")
     common(p, None)
+    p.add_argument("--threads", type=int, help="worker pool size")
     p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("multiscale", help="two-scale plate analysis")
     common(p, "multiscale_out")
+    p.add_argument("--threads", type=int, help="worker pool size")
     p.set_defaults(func=_cmd_multiscale)
 
     p = sub.add_parser("export-image", help="render an array file component to PGM")

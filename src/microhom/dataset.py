@@ -89,8 +89,11 @@ def config_to_dict(cfg: DatasetConfig) -> dict:
 
 
 def config_hash(cfg: DatasetConfig) -> str:
-    canon = json.dumps(config_to_dict(cfg), sort_keys=True)
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    """SHA-256 of the fields that determine the samples' bytes: output_dir
+    and workers change where and how fast they are written, not what."""
+    canon = config_to_dict(cfg)
+    del canon["output_dir"], canon["workers"]
+    return hashlib.sha256(json.dumps(canon, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def lhs_sample(n: int, bounds, seed: int) -> np.ndarray:
@@ -131,8 +134,39 @@ def sample_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _sample_dir(root: Path, index: int) -> Path:
-    return root / "samples" / f"{index:06d}"
+def write_sample(sdir, grid, a_field, info: dict, c_field=None) -> dict:
+    """Write one sample directory: the phase grid, the concentration field,
+    optionally the stiffness field, then sample.json holding `info`.
+    Returns the manifest's file map (name -> array shape, None for JSON)."""
+    sdir = Path(sdir)
+    sdir.mkdir(parents=True, exist_ok=True)
+    files = {}
+    for name, arr in (("rve.u8.bin", grid), ("a_field.f64.bin", a_field),
+                      ("c_field.f64.bin", c_field)):
+        if arr is not None:
+            write_array(sdir / name, arr)
+            files[name] = list(arr.shape)
+    (sdir / "sample.json").write_text(json.dumps(info, indent=1), encoding="utf-8")
+    files["sample.json"] = None
+    return files
+
+
+def read_sample(sdir):
+    """Read a sample directory back as (grid, a_field, info).
+
+    Raises DomainError naming the directory when a file is missing or
+    unreadable, or when the concentration field does not match the grid.
+    """
+    sdir = Path(sdir)
+    try:
+        grid = read_array(sdir / "rve.u8.bin")
+        a_field = read_array(sdir / "a_field.f64.bin")
+        info = json.loads((sdir / "sample.json").read_text(encoding="utf-8"))
+    except (OSError, ValueError) as err:
+        raise DomainError(f"{sdir}: not a readable sample directory: {err}") from err
+    if a_field.shape != grid.shape + (3, 3):
+        raise DomainError(f"{sdir}: a_field shape {a_field.shape} does not match the grid")
+    return grid, a_field, info
 
 
 def _generate_one(cfg: DatasetConfig, index: int, props_row, vof: float, root: Path) -> dict:
@@ -150,19 +184,6 @@ def _generate_one(cfg: DatasetConfig, index: int, props_row, vof: float, root: P
     )
     c_field = assign_properties(rve, IsotropicProps(ef, nuf), IsotropicProps(em, num))
     conc = strain_concentration(c_field, cfg.solver, domain=cfg.domain_size)
-
-    sdir = _sample_dir(root, index)
-    sdir.mkdir(parents=True, exist_ok=True)
-    write_array(sdir / "rve.u8.bin", rve.grid)
-    write_array(sdir / "a_field.f64.bin", conc.a)
-    files = {
-        "rve.u8.bin": list(rve.grid.shape),
-        "a_field.f64.bin": list(conc.a.shape),
-    }
-    if cfg.store_stiffness:
-        write_array(sdir / "c_field.f64.bin", c_field.astype(float))
-        files["c_field.f64.bin"] = list(c_field.shape)
-
     info = {
         "index": index,
         "seed": seed,
@@ -172,9 +193,10 @@ def _generate_one(cfg: DatasetConfig, index: int, props_row, vof: float, root: P
         "properties": {"E_f": ef, "nu_f": nuf, "E_m": em, "nu_m": num},
         "loads": conc.metadata["loads"],
     }
-    (sdir / "sample.json").write_text(json.dumps(info, indent=1), encoding="utf-8")
-    files["sample.json"] = None
-    return {"dir": f"samples/{index:06d}", "files": files, **info}
+    sdir = f"samples/{index:06d}"
+    stiffness = c_field if cfg.store_stiffness else None
+    files = write_sample(root / sdir, rve.grid, conc.a, info, stiffness)
+    return {"dir": sdir, "files": files, **info}
 
 
 def generate_dataset(cfg: DatasetConfig) -> dict:

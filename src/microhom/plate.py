@@ -25,9 +25,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .arrayio import read_array, write_array
+from .arrayio import write_array
 from .config import resolve
-from .dataset import sample_seed, stratify_vof
+from .dataset import read_sample, sample_seed, stratify_vof, write_sample
 from .errors import DomainError, MeshError, NonConvergenceError
 from .homogenization import homogenized_stiffness, strain_concentration
 from .microstructure import assign_properties, generate_fiber_rve
@@ -96,7 +96,6 @@ class MacroState:
     stress_m: np.ndarray  # (E, 3)
     tangents: np.ndarray  # (E, 3, 3), shared across steps
     f_int: np.ndarray
-    f_ext: np.ndarray
     residual_norm: float
     reaction: float
     newton_iterations: int
@@ -243,7 +242,6 @@ def solve_plate(
     newton_cap: int = 30,
     hourglass_coef: float = 0.005,
     integration: str = "reduced",
-    f_ext: Optional[np.ndarray] = None,
 ) -> list:
     """Displacement-driven quasi-static analysis.
 
@@ -265,9 +263,7 @@ def solve_plate(
     except RuntimeError as err:
         raise DomainError(f"singular macro stiffness: {err}") from err
 
-    n = mesh.n_dofs
-    f_ext = np.zeros(n) if f_ext is None else np.asarray(f_ext, dtype=float)
-    s = np.zeros(n)
+    s = np.zeros(mesh.n_dofs)
     states = []
     for step in range(1, load_steps + 1):
         target = s_total * step / load_steps
@@ -277,7 +273,7 @@ def solve_plate(
         iters = 0
         while True:
             f_int = k_global @ s
-            residual = f_ext - f_int
+            residual = -f_int
             r_norm = float(np.linalg.norm(residual[free]))
             if iters > 0 and r_norm <= newton_tol:
                 break
@@ -299,7 +295,6 @@ def solve_plate(
                 stress_m=stress_m,
                 tangents=tangents,
                 f_int=f_int.copy(),
-                f_ext=f_ext.copy(),
                 residual_norm=r_norm,
                 reaction=float(f_int[mesh.dof_loaded].sum()),
                 newton_iterations=iters,
@@ -378,28 +373,21 @@ def element_response(
     )
 
 
-def element_response_from_files(element_dir, solver: Optional[SolverConfig] = None) -> ElementMicro:
-    """Load one element's micro data from a sample-style directory.
+def element_response_from_files(element_dir) -> ElementMicro:
+    """Load one element's micro data from a sample directory
+    (dataset.read_sample).
 
-    The directory must hold rve.u8.bin and sample.json (phase properties);
-    when a_field.f64.bin is present it is used directly (this is the seam
-    where a surrogate's precomputed concentration fields substitute for the
-    spectral solves), otherwise the cell is solved here.
+    This is the seam where a surrogate's precomputed concentration fields
+    substitute for the spectral solves: the tangent is <C A> of the stored
+    grid, phase properties and concentration field.
     """
-    element_dir = Path(element_dir)
-    grid = read_array(element_dir / "rve.u8.bin")
-    info = json.loads((element_dir / "sample.json").read_text(encoding="utf-8"))
+    grid, a, info = read_sample(element_dir)
     props = info["properties"]
-    fiber = IsotropicProps(props["E_f"], props["nu_f"])
-    matrix = IsotropicProps(props["E_m"], props["nu_m"])
-    domain = info.get("domain_size", (float(grid.shape[0]), float(grid.shape[1])))
-    a_path = element_dir / "a_field.f64.bin"
-    if not a_path.exists():
-        return element_response(grid, fiber, matrix, solver or SolverConfig(), domain)
-    c_field = assign_properties(grid, fiber, matrix)
-    a = read_array(a_path)
-    if a.shape != c_field.shape:
-        raise DomainError(f"{a_path}: shape {a.shape} does not match the grid")
+    c_field = assign_properties(
+        grid,
+        IsotropicProps(props["E_f"], props["nu_f"]),
+        IsotropicProps(props["E_m"], props["nu_m"]),
+    )
     tangent, asym = homogenized_stiffness(c_field, a, symmetrize=False)
     return ElementMicro(tangent, c_field, a, {"asymmetry": asym, "source": "file"})
 
@@ -448,47 +436,56 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
     solver = SolverConfig(**micro["solver"])
 
     if cfg["a_field_dir"]:
-        roots = sorted(p for p in Path(cfg["a_field_dir"]).iterdir() if p.is_dir())
+        micro_dir = Path(cfg["a_field_dir"])
+        if not micro_dir.is_dir():
+            raise DomainError(f"a_field_dir {micro_dir} is not a directory")
+        roots = sorted(p for p in micro_dir.iterdir() if p.is_dir())
         if len(roots) != n_el:
             raise DomainError(
                 f"a_field_dir holds {len(roots)} element dirs, mesh has {n_el} elements"
             )
-        elements = [element_response_from_files(p, solver) for p in roots]
+        tangents = [element_response_from_files(p).tangent for p in roots]
     else:
         ef_field = kl_field(mesh, GRFConfig(**cfg["grf_fiber"]))
         em_field = kl_field(mesh, GRFConfig(**cfg["grf_matrix"]))
         vofs = stratify_vof(n_el, micro["vof_range"], micro["n_vof_groups"])
         vofs = np.random.default_rng(cfg["seed"]).permutation(vofs)
 
-        def solve_element(e: int) -> ElementMicro:
+        def solve_element(e: int) -> np.ndarray:
+            seed = sample_seed(cfg["seed"], e)
             rve = generate_fiber_rve(
                 float(vofs[e]),
                 micro["r_mean"],
                 micro["r_std_frac"],
                 micro["domain"],
                 micro["resolution"],
-                seed=sample_seed(cfg["seed"], e),
+                seed=seed,
                 gap_frac=micro["gap_frac"],
             )
-            return element_response(
-                rve.grid,
-                IsotropicProps(float(ef_field[e]), micro["nu_fiber"]),
-                IsotropicProps(float(em_field[e]), micro["nu_matrix"]),
-                solver,
-                micro["domain"],
+            fiber = IsotropicProps(float(ef_field[e]), micro["nu_fiber"])
+            matrix = IsotropicProps(float(em_field[e]), micro["nu_matrix"])
+            el = element_response(
+                rve.grid, fiber, matrix, solver, micro["domain"],
                 keep_fields=cfg["save_micro"],
             )
+            if cfg["save_micro"]:
+                props = {"E_f": fiber.E, "nu_f": fiber.nu, "E_m": matrix.E, "nu_m": matrix.nu}
+                write_sample(out / "micro" / f"{e:06d}", rve.grid, el.a_field, {
+                    "index": e, "seed": seed, "vof_target": float(vofs[e]),
+                    "achieved_vof": rve.achieved_vof, "domain_size": list(micro["domain"]),
+                    "properties": props, "loads": el.info["loads"],
+                })
+            return el.tangent
 
         if cfg["workers"] > 1:
             with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-                elements = list(pool.map(solve_element, range(n_el)))
+                tangents = list(pool.map(solve_element, range(n_el)))
         else:
-            elements = [solve_element(e) for e in range(n_el)]
+            tangents = [solve_element(e) for e in range(n_el)]
 
-    tangents = np.stack([el.tangent for el in elements])
     states = solve_plate(
         mesh,
-        tangents,
+        np.stack(tangents),
         cfg["load_steps"],
         cfg["s_total"],
         newton_tol=cfg["newton_tol"],
@@ -512,13 +509,6 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
                 "residual": state.residual_norm,
             }
         )
-    if cfg["save_micro"] and not cfg["a_field_dir"]:
-        for e, el in enumerate(elements):
-            edir = out / "micro" / f"{e:06d}"
-            edir.mkdir(parents=True, exist_ok=True)
-            if el.a_field is not None:
-                write_array(edir / "a_field.f64.bin", el.a_field)
-
     summary = {
         "n_elements": n_el,
         "n_nodes": len(mesh.nodes),

@@ -7,6 +7,7 @@ import pytest
 
 from microhom.arrayio import read_array, write_array
 from microhom.cli import dispatch
+from microhom.dataset import write_sample
 
 
 def write_config(path, cfg):
@@ -35,12 +36,30 @@ class TestUsageErrors:
             ("gen-rve", "rve.fiber=0.5"),
             ("dataset", "solver=5"),
             ("dataset", "resolution=64"),
+            ("multiscale", "nx=two"),
+            ("dataset", "n_samples=two"),
+            ("gen-rve", "rve.fiber.vof=abc"),
+            pytest.param(
+                "homogenize",
+                "rve.uniform=0 fiber_props.E=abc fiber_props.nu=0.2 "
+                "matrix_props.E=3.0 matrix_props.nu=0.3",
+                id="homogenize-fiber_props.E=abc",
+            ),
         ],
     )
     def test_malformed_config_exits_2_before_echo(self, tmp_path, command, override):
         out = tmp_path / "o"
-        assert dispatch([command, "--set", override, "--out", str(out)]) == 2
+        argv = [command, "--out", str(out)]
+        for item in override.split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 2
         assert not (out / "config_echo.json").exists()
+
+    @pytest.mark.parametrize("command", ["gen-rve", "solve", "homogenize"])
+    def test_threads_only_on_pooled_commands(self, command):
+        with pytest.raises(SystemExit) as exc:
+            dispatch([command, "--threads", "2"])
+        assert exc.value.code == 2
 
     def test_grid_file_outside_0_1_exits_1(self, tmp_path):
         grid = tmp_path / "grid.f64.bin"
@@ -193,20 +212,22 @@ class TestExportImage:
         ]) == 1
 
 
-class TestGenSpinodal:
+class TestGenRveSpinodal:
     def test_writes_grid_and_pgm(self, tmp_path):
         cfg = write_config(
             tmp_path / "s.json",
-            {"resolution": [64, 64], "steps": 40, "seed": 2},
+            {"rve": {"spinodal": {"steps": 40, "seed": 2}, "resolution": [64, 64]}},
         )
         out = tmp_path / "sp"
-        assert dispatch(["gen-spinodal", "--config", cfg, "--out", str(out), "--pgm"]) == 0
+        assert dispatch(["gen-rve", "--config", cfg, "--out", str(out), "--pgm"]) == 0
         grid = read_array(out / "rve.u8.bin")
         assert grid.shape == (64, 64)
         assert set(np.unique(grid)) <= {0, 1}
         assert (out / "rve.pgm").exists()
         summary = json.loads((out / "summary.json").read_text())
-        assert 0.0 < summary["hard_fraction"] < 1.0
+        assert 0.0 < summary["achieved_vof"] < 1.0
+        # the phase field conserves its mean: 0.5 plus zero-mean noise
+        assert abs(summary["metadata"]["mean_concentration"] - 0.5) <= 0.05
 
 
 class TestSolveCommand:
@@ -228,15 +249,50 @@ class TestSolveCommand:
         assert summary["iterations"] == 1
 
 
+SMALL_PLATE = {
+    "nx": 2, "ny": 3, "s_total": 0.005, "load_steps": 2,
+    "micro": {"resolution": [32, 32], "solver": {"tol": 1e-7}},
+}
+
+
 class TestMultiscaleCommand:
-    def test_small_run(self, tmp_path):
-        cfg = write_config(
-            tmp_path / "m.json",
-            {
-                "nx": 2, "ny": 3, "s_total": 0.005, "load_steps": 2,
-                "micro": {"resolution": [32, 32], "solver": {"tol": 1e-7}},
-            },
+    def test_saved_micro_cells_reload_bitwise(self, tmp_path):
+        cfg = write_config(tmp_path / "m.json", SMALL_PLATE)
+        solved, loaded = tmp_path / "solved", tmp_path / "loaded"
+        assert dispatch([
+            "multiscale", "--config", cfg, "--set", "save_micro=true", "--out", str(solved)
+        ]) == 0
+        assert dispatch([
+            "multiscale", "--config", cfg, "--set", f"a_field_dir={solved / 'micro'}",
+            "--out", str(loaded),
+        ]) == 0
+        outputs = sorted(p.relative_to(solved) for p in solved.glob("step_*/*.bin"))
+        assert len(outputs) == 2 * 3
+        for rel in [*outputs, "summary.json"]:
+            assert (solved / rel).read_bytes() == (loaded / rel).read_bytes()
+
+    @pytest.mark.parametrize("missing", ["a_field.f64.bin", "sample.json"])
+    def test_incomplete_micro_cell_exits_1(self, tmp_path, capsys, missing):
+        cell = tmp_path / "micro" / "000000"
+        write_sample(
+            cell, np.zeros((8, 8), dtype=np.uint8), np.broadcast_to(np.eye(3), (8, 8, 3, 3)),
+            {"properties": {"E_f": 10.0, "nu_f": 0.3, "E_m": 2.0, "nu_m": 0.3}},
         )
+        (cell / missing).unlink()
+        assert dispatch([
+            "multiscale", "--set", "nx=1", "--set", "ny=1",
+            "--set", f"a_field_dir={tmp_path / 'micro'}", "--out", str(tmp_path / "o"),
+        ]) == 1
+        assert str(cell) in capsys.readouterr().err
+
+    def test_missing_a_field_dir_exits_1(self, tmp_path):
+        assert dispatch([
+            "multiscale", "--set", f"a_field_dir={tmp_path / 'nowhere'}",
+            "--out", str(tmp_path / "o"),
+        ]) == 1
+
+    def test_small_run(self, tmp_path):
+        cfg = write_config(tmp_path / "m.json", SMALL_PLATE)
         out = tmp_path / "ms"
         assert dispatch(["multiscale", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())

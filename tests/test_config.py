@@ -34,6 +34,26 @@ def test_shape_mismatch_rejected(raw, path):
         resolve(DEFAULTS, raw)
 
 
+@pytest.mark.parametrize(
+    "raw,path",
+    [
+        ({"n": "4"}, "n"),  # string for a number
+        ({"n": True}, "n"),  # a boolean is not a number
+        ({"outer": {"flag": 0}}, "outer.flag"),  # number for a boolean
+        ({"outer": {"middle": {"name": 1}}}, "outer.middle.name"),  # number for a string
+        ({"outer": {"middle": {"inner": None}}}, "outer.middle.inner"),  # null for a number
+    ],
+)
+def test_kind_mismatch_rejected(raw, path):
+    with pytest.raises(ConfigError, match=f"'{path}'"):
+        resolve(DEFAULTS, raw)
+
+
+def test_int_and_float_interchangeable():
+    cfg = resolve(DEFAULTS, {"n": 4.5, "outer": {"middle": {"inner": 2}}})
+    assert cfg["n"] == 4.5 and cfg["outer"]["middle"]["inner"] == 2
+
+
 @pytest.mark.parametrize("value", [3, "text", [1, 2], {"k": {"j": 1}}])
 def test_none_default_accepts_any_value(value):
     assert resolve(DEFAULTS, {"any": value})["any"] == value

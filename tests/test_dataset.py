@@ -9,6 +9,7 @@ from microhom.arrayio import read_array
 from microhom.dataset import (
     DatasetConfig,
     config_from_dict,
+    config_hash,
     generate_dataset,
     lhs_sample,
     sample_seed,
@@ -138,6 +139,16 @@ class TestGenerateDataset:
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"n_sample": 4})
+
+    def test_config_hash_identifies_the_samples(self):
+        # where and how fast the samples are written does not change them
+        base = config_hash(DatasetConfig(master_seed=3))
+        for workers in (1, 2):
+            for out in ("run_a", "run_b"):
+                assert config_hash(
+                    DatasetConfig(master_seed=3, workers=workers, output_dir=out)
+                ) == base
+        assert config_hash(DatasetConfig(master_seed=4)) != base
 
     def test_divisibility_enforced(self):
         with pytest.raises(DomainError):

@@ -185,9 +185,7 @@ class TestRecovery:
 
 class TestSurrogateSeam:
     def test_precomputed_fields_round_trip(self, tmp_path):
-        import json
-
-        from microhom.arrayio import write_array
+        from microhom.dataset import write_sample
         from microhom.plate import element_response_from_files
 
         rve = generate_fiber_rve(0.5, 5.0, 0.01, (50.0, 50.0), (48, 48), seed=4)
@@ -195,21 +193,16 @@ class TestSurrogateSeam:
         direct = element_response(rve.grid, fiber, matrix, SolverConfig(tol=1e-8), (50.0, 50.0))
 
         edir = tmp_path / "000000"
-        edir.mkdir()
-        write_array(edir / "rve.u8.bin", rve.grid)
-        write_array(edir / "a_field.f64.bin", direct.a_field)
-        (edir / "sample.json").write_text(json.dumps({
+        write_sample(edir, rve.grid, direct.a_field, {
             "properties": {"E_f": 30.0, "nu_f": 0.25, "E_m": 3.0, "nu_m": 0.35},
             "domain_size": [50.0, 50.0],
-        }))
+        })
         loaded = element_response_from_files(edir)
         assert_allclose(loaded.tangent, direct.tangent, rtol=1e-12)
         assert loaded.info["source"] == "file"
 
     def test_run_multiscale_from_precomputed_fields(self, tmp_path):
-        import json
-
-        from microhom.arrayio import write_array
+        from microhom.dataset import write_sample
         from microhom.plate import run_multiscale
 
         # four precomputed element cells for a 2x2 plate
@@ -224,14 +217,10 @@ class TestSurrogateSeam:
                 SolverConfig(tol=1e-8), (50.0, 50.0),
             )
             tangents.append(el.tangent)
-            edir = micro_root / f"{e:06d}"
-            edir.mkdir(parents=True)
-            write_array(edir / "rve.u8.bin", rve.grid)
-            write_array(edir / "a_field.f64.bin", el.a_field)
-            (edir / "sample.json").write_text(json.dumps({
+            write_sample(micro_root / f"{e:06d}", rve.grid, el.a_field, {
                 "properties": {"E_f": ef, "nu_f": nuf, "E_m": em, "nu_m": num},
                 "domain_size": [50.0, 50.0],
-            }))
+            })
 
         summary = run_multiscale(
             {"nx": 2, "ny": 2, "s_total": 0.004, "load_steps": 2,
