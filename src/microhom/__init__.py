@@ -1,9 +1,9 @@
 """Computational micromechanics for 2D periodic composites.
 
 Generates periodic two-phase microstructures, solves their micro-elasticity
-by spectral fixed-point iteration, homogenizes effective stiffness, mass-
-produces labeled concentration-tensor datasets, and runs concurrent
-two-scale plate analyses.
+by Green-preconditioned spectral conjugate gradients, homogenizes effective
+stiffness, mass-produces labeled concentration-tensor datasets, and runs
+concurrent two-scale plate analyses.
 """
 
 from .arrayio import read_array, write_array, write_pgm

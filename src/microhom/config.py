@@ -28,7 +28,9 @@ def resolve(defaults: dict, raw: dict, where: str = "") -> dict:
     Objects merge key by key; arrays and scalars replace the default.  A key
     missing from `defaults`, or a value whose kind (object, array, number,
     string or boolean) differs from its default, raises ConfigError naming
-    the dotted path under `where`.  A None default accepts any value.
+    the dotted path under `where`.  The elements of an array must have the
+    kind of the default array's first element.  A None default accepts any
+    value.
     """
     out = copy.deepcopy(defaults)
     for key, value in raw.items():
@@ -38,5 +40,9 @@ def resolve(defaults: dict, raw: dict, where: str = "") -> dict:
         default = defaults[key]
         if default is not None and kind(value) != kind(default):
             raise ConfigError(f"{path!r} must be {kind(default)}, got {kind(value)}")
+        if isinstance(default, (list, tuple)) and default:
+            for i, item in enumerate(value):
+                if kind(item) != kind(default[0]):
+                    raise ConfigError(f"'{path}[{i}]' must be {kind(default[0])}, got {kind(item)}")
         out[key] = resolve(default, value, path) if isinstance(default, dict) else value
     return out

@@ -23,9 +23,11 @@ class ZeroMeanStressError(DomainError):
 
 
 class NonConvergenceError(DomainError):
-    """Fixed-point iteration hit its cap before reaching the tolerance.
+    """The cell solver stopped before reaching the tolerance.
 
-    Carries the full residual history so the cap can be retuned per contrast.
+    Raised at the iteration cap, on a non-finite equilibrium index, or when
+    the stiffness field turns out not to be positive definite.  Carries the
+    full residual history so the cap can be retuned per contrast.
     """
 
     def __init__(self, message, history):

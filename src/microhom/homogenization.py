@@ -21,13 +21,29 @@ UNIT_LOADS = np.eye(3)
 # Plain-matrix-vs-tensor column weights of the storage convention (see voigt).
 _SHEAR_COLUMN = np.array([1.0, 1.0, 2.0])
 
+# A solve converged to equilibrium index Tol leaves a plain-component
+# asymmetry in Cbar below 6 Tol ||Cbar|| (median 0.5 to 1.7 Tol ||Cbar||),
+# measured for Tol 1e-3 to 1e-10 on 128^2 and 256^2 fiber cells of contrast
+# 3 to 34.  Above ASYMMETRY_FACTOR * tol * ||Cbar|| the warning flags a
+# solution worse than its tolerance promises; above ASYMMETRY_CEILING *
+# ||Cbar|| it flags a Cbar too asymmetric to trust whatever tolerance was
+# asked for (a Tol 1e-2 solve leaves up to 1.6e-2 ||Cbar||).
+ASYMMETRY_FACTOR = 10.0
+ASYMMETRY_CEILING = 1e-3
+
+
+def asymmetry_threshold(tol: float) -> float:
+    """Relative Cbar asymmetry above which homogenized_stiffness warns."""
+    return min(ASYMMETRY_FACTOR * tol, ASYMMETRY_CEILING)
+
 
 @dataclass
 class ConcentrationField:
     """Per-pixel strain concentration matrices A(x) with solve diagnostics.
 
     metadata carries per-load iteration counts and final residuals so dataset
-    quality can be audited after the fact.
+    quality can be audited after the fact, and the asymmetry_threshold that
+    homogenized_stiffness warns above.
     """
 
     a: np.ndarray  # (T1, T2, 3, 3)
@@ -79,6 +95,7 @@ def strain_concentration(
         metadata={
             "loads": loads,
             "tol": config.tol,
+            "asymmetry_threshold": asymmetry_threshold(config.tol),
             "scheme": config.scheme,
             "lame0": (green.lame0.lam, green.lame0.mu),
         },
@@ -91,14 +108,18 @@ def homogenized_stiffness(c_field: np.ndarray, conc, symmetrize: bool = True):
     The average is symmetrized in plain tensor components (the stored shear
     column carries a factor 2, so raw storage of a coupled stiffness is not
     itself a symmetric matrix).  The remaining asymmetry measures how well
-    the converged solution honors major symmetry and is returned alongside;
-    above 1e-6 * ||Cbar|| it is also surfaced as a warning.
+    the converged solution honors major symmetry and is returned alongside.
+    Above threshold * ||Cbar|| it is also surfaced as a warning, with the
+    threshold recorded in the ConcentrationField metadata, or else that of
+    the default SolverConfig tol (e.g. for a bare (T1, T2, 3, 3) array).
 
     Returns:
         (cbar, asymmetry): the (3, 3) effective stiffness and the maximum
         plain-component asymmetry before symmetrization.
     """
     a = conc.a if isinstance(conc, ConcentrationField) else np.asarray(conc)
+    meta = conc.metadata if isinstance(conc, ConcentrationField) else {}
+    threshold = meta.get("asymmetry_threshold", asymmetry_threshold(SolverConfig().tol))
     c_field = np.asarray(c_field, dtype=float)
     if c_field.shape[:2] != a.shape[:2]:
         raise ValueError(f"grid shapes differ: {c_field.shape[:2]} vs {a.shape[:2]}")
@@ -108,9 +129,9 @@ def homogenized_stiffness(c_field: np.ndarray, conc, symmetrize: bool = True):
     plain = raw / _SHEAR_COLUMN  # divide shear column: plain tensor components
     asymmetry = float(np.abs(plain - plain.T).max())
     norm = float(np.linalg.norm(raw))
-    if norm > 0 and asymmetry > 1e-6 * norm:
+    if norm > 0 and asymmetry > threshold * norm:
         warnings.warn(
-            f"homogenized stiffness asymmetry {asymmetry:.3e} exceeds 1e-6*||Cbar||",
+            f"homogenized stiffness asymmetry {asymmetry:.3e} exceeds {threshold:.1e}*||Cbar||",
             stacklevel=2,
         )
     if not symmetrize:

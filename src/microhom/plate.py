@@ -382,7 +382,11 @@ def element_response_from_files(element_dir) -> ElementMicro:
     grid, phase properties and concentration field.
     """
     grid, a, info = read_sample(element_dir)
-    props = info["properties"]
+    props = info.get("properties")
+    keys = ("E_f", "nu_f", "E_m", "nu_m")
+    missing = [k for k in keys if not isinstance(props, dict) or k not in props]
+    if missing:
+        raise DomainError(f"{element_dir}: sample.json lacks properties {', '.join(missing)}")
     c_field = assign_properties(
         grid,
         IsotropicProps(props["E_f"], props["nu_f"]),

@@ -1,9 +1,29 @@
-"""Fixed-point spectral solver for periodic micro-elasticity.
+"""Spectral cell solver: Green-preconditioned conjugate gradients.
 
 Solves the strain field of a heterogeneous periodic cell under a prescribed
-mean strain: initialize with the macro strain, then repeatedly map the
-polarization stress through the reference-medium Green operator in Fourier
-space until the stress field is balanced.
+mean strain eps = ebar + eps~, where the fluctuation eps~ is a compatible,
+zero-mean periodic field.  The equilibrium condition, <C:eps, d> = 0 for
+every compatible zero-mean d, is a symmetric positive definite system for
+eps~; it is solved by conjugate gradients, preconditioned by the
+reference-medium Green operator Gamma0 (Zeman et al., J. Comput. Phys. 229,
+2010; Brisard & Dormieux, Comput. Mater. Sci. 49, 2010).  Its solution is
+the fixed point of the basic Moulinec-Suquet scheme
+eps = ebar - Gamma0 (C - C0) eps, reached in far fewer iterations.
+
+One iteration, from the stress spectrum sigma_hat = FFT(C:eps):
+
+    z = -Gamma0 sigma_hat            preconditioned residual (zero at DC)
+    p = z + beta p,  beta = <z, C0:z> / <z_old, C0:z_old>
+    eps += alpha p,  alpha = <z, C0:z> / <p, C:p>
+    sigma = C:eps,   sigma_hat = FFT(sigma)
+
+so it costs one Green application, one inverse and one forward FFT and one
+convergence metric.  Inner products are the tensor contraction a:b, i.e.
+weights (1, 1, 2) on tensorial-shear vectors.  <z, C0:z> is taken on the
+spectrum, where it is a sum of squares; the stress is recomputed from the
+strain every iteration rather than updated, so rounding does not accumulate
+in it.  Because p has zero mean, the mean strain equals ebar at every
+iteration.
 
 The FFT pair is numpy's unnormalized forward / 1/(T1*T2)-normalized inverse;
 the convergence metric depends on that normalization, so it is fixed here.
@@ -11,7 +31,8 @@ the convergence metric depends on that normalization, so it is fixed here.
 The rotated scheme (default) balances every mode of an even grid and reaches
 arbitrarily tight tolerances; the continuous scheme does the same on odd
 grids but on even grids stalls at a floor set by the unpaired Nyquist lines,
-whose one-sided frequencies no real stress field can balance.
+whose one-sided frequencies no real stress field can balance (a 16^2 disc
+cell of contrast 10 stalls near Tol 2e-4).
 """
 
 from __future__ import annotations
@@ -33,12 +54,18 @@ from .green import (
     make_freq_grid,
     reference_material,
 )
-from .voigt import stiffness_from_lame
+from .voigt import Lame
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the fixed-point iteration."""
+    """Settings of the conjugate-gradient cell solve.
+
+    tol is the target of the equilibrium index Tol (convergence_metric);
+    max_iter caps the iterations (one Green application each); scheme picks
+    the frequency grid of the Green operator; record_history keeps the mean
+    strain of every iterate.
+    """
 
     tol: float = 1e-6
     max_iter: int = 5000
@@ -90,11 +117,29 @@ def convergence_metric(stress_hat: np.ndarray, freqs: FreqGrid) -> float:
     return float(np.sqrt(num / (n_pix * denom)))
 
 
-def _apply_stiffness(c: np.ndarray, strain: np.ndarray) -> np.ndarray:
-    """sigma(x) = C(x) : eps(x) for per-pixel stiffness, else constant C."""
-    if c.ndim == 2:
-        return np.einsum("ij,xyj->xyi", c, strain)
-    return np.einsum("xyij,xyj->xyi", c, strain)
+def _apply_stiffness(c_field: np.ndarray, strain: np.ndarray) -> np.ndarray:
+    """sigma(x) = C(x) : eps(x)."""
+    return np.einsum("xyij,xyj->xyi", c_field, strain)
+
+
+def _contract(a: np.ndarray, b: np.ndarray) -> float:
+    """sum over pixels of the tensor contraction a:b of two real fields."""
+    per_component = np.einsum("xyi,xyi->i", a, b)
+    return float(per_component[0] + per_component[1] + 2.0 * per_component[2])
+
+
+def _reference_energy(z_hat: np.ndarray, lame0: Lame) -> float:
+    """sum over pixels of z:C0:z for a real field given by its spectrum.
+
+    With C0 isotropic, z:C0:z = lam0 (z11 + z22)^2 + 2 mu0 z:z; by Parseval
+    the pixel sum is the frequency sum over T1*T2.
+    """
+    trace = z_hat[..., 0] + z_hat[..., 1]
+    sq = z_hat.real**2 + z_hat.imag**2
+    total = lame0.lam * np.sum(trace.real**2 + trace.imag**2) + 2.0 * lame0.mu * (
+        np.sum(sq[..., 0]) + np.sum(sq[..., 1]) + 2.0 * np.sum(sq[..., 2])
+    )
+    return float(total) / (z_hat.shape[0] * z_hat.shape[1])
 
 
 def solve_unit_load(
@@ -118,7 +163,10 @@ def solve_unit_load(
             solve); must match the config scheme and reference medium.
 
     Raises:
-        NonConvergenceError: the cap was reached; carries the residual history.
+        NonConvergenceError: the cap was reached, Tol is not finite, or the
+            curvature <p, C:p> of a nonzero search direction is not positive
+            (the stiffness field is not positive definite); carries the
+            residual history.
     """
     c_field = np.asarray(c_field, dtype=float)
     if c_field.ndim != 4 or c_field.shape[2:] != (3, 3):
@@ -139,30 +187,28 @@ def solve_unit_load(
     if green is None:
         lam, mu = lame_fields_from_stiffness(c_field)
         green = green_operator(grid, reference_material(lam, mu))
-    c0 = stiffness_from_lame(green.lame0)
 
-    n_pix = T1 * T2
     eps = np.broadcast_to(macro, (T1, T2, 3)).copy()
-    eps_hat = np.zeros((T1, T2, 3), dtype=complex)
-    eps_hat[0, 0] = macro * n_pix
     sigma = _apply_stiffness(c_field, eps)
+    sigma_hat = np.fft.fft2(sigma, axes=(0, 1))
 
     history = []
     mean_history = [] if config.record_history else None
     imag_residue = 0.0
     n_updates = 0
+    rz = 0.0  # <z, C0:z> of the previous iteration; 0 restarts the direction from z
 
     while True:
-        tau = sigma - _apply_stiffness(c0, eps)
-        tau_hat = np.fft.fft2(tau, axes=(0, 1))
-
         if n_updates > 0:
-            # FFT(sigma) == tau_hat + C0 : eps_hat by linearity of the transform.
-            sigma_hat = tau_hat + np.einsum("ij,xyj->xyi", c0, eps_hat)
             tol_n = convergence_metric(sigma_hat, grid)
             history.append(tol_n)
             if tol_n <= config.tol:
                 break
+            if not np.isfinite(tol_n):
+                raise NonConvergenceError(
+                    f"Tol = {tol_n} after {n_updates} iterations: the iterate is not finite",
+                    history,
+                )
             if n_updates >= config.max_iter:
                 raise NonConvergenceError(
                     f"no convergence after {config.max_iter} iterations "
@@ -170,14 +216,26 @@ def solve_unit_load(
                     history,
                 )
 
-        eps_hat = -apply_green(green.g, tau_hat)
-        eps_hat[0, 0] += macro * n_pix
-        z = np.fft.ifft2(eps_hat, axes=(0, 1))
-        scale = np.abs(z.real).max()
+        z_hat = -apply_green(green.g, sigma_hat)
+        rz_new = _reference_energy(z_hat, green.lame0)
+        p_hat = z_hat if rz == 0.0 else z_hat + (rz_new / rz) * p_hat
+        rz = rz_new
+        p_complex = np.fft.ifft2(p_hat, axes=(0, 1))
+        p = p_complex.real
+        scale = np.abs(p).max()
         if scale > 0:
-            imag_residue = max(imag_residue, float(np.abs(z.imag).max() / scale))
-        eps = z.real.copy()
+            imag_residue = max(imag_residue, float(np.abs(p_complex.imag).max() / scale))
+        curvature = _contract(p, _apply_stiffness(c_field, p))
+        if curvature > 0:
+            eps += (rz / curvature) * p
+        elif scale > 0:
+            raise NonConvergenceError(
+                f"curvature <p, C:p> = {curvature:.3e} <= 0 at iteration {n_updates + 1}: "
+                "the stiffness field is not positive definite",
+                history,
+            )
         sigma = _apply_stiffness(c_field, eps)
+        sigma_hat = np.fft.fft2(sigma, axes=(0, 1))
         n_updates += 1
         if mean_history is not None:
             mean_history.append(eps.mean(axis=(0, 1)))

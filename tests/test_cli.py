@@ -40,6 +40,10 @@ class TestUsageErrors:
             ("dataset", "n_samples=two"),
             ("gen-rve", "rve.fiber.vof=abc"),
             pytest.param(
+                "gen-rve", 'rve={"fiber":{},"resolution":["a",64]}',
+                id="gen-rve-rve.resolution=[a,64]",
+            ),
+            pytest.param(
                 "homogenize",
                 "rve.uniform=0 fiber_props.E=abc fiber_props.nu=0.2 "
                 "matrix_props.E=3.0 matrix_props.nu=0.3",
@@ -284,6 +288,21 @@ class TestMultiscaleCommand:
             "--set", f"a_field_dir={tmp_path / 'micro'}", "--out", str(tmp_path / "o"),
         ]) == 1
         assert str(cell) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "info", [{"seed": 1}, {"properties": {"E_f": 10.0, "nu_f": 0.3, "E_m": 2.0}}]
+    )
+    def test_micro_cell_without_properties_exits_1(self, tmp_path, capsys, info):
+        cell = tmp_path / "micro" / "000000"
+        write_sample(
+            cell, np.zeros((8, 8), dtype=np.uint8), np.broadcast_to(np.eye(3), (8, 8, 3, 3)), info
+        )
+        assert dispatch([
+            "multiscale", "--set", "nx=1", "--set", "ny=1",
+            "--set", f"a_field_dir={tmp_path / 'micro'}", "--out", str(tmp_path / "o"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert str(cell) in err and "nu_m" in err
 
     def test_missing_a_field_dir_exits_1(self, tmp_path):
         assert dispatch([

@@ -49,9 +49,15 @@ def test_kind_mismatch_rejected(raw, path):
         resolve(DEFAULTS, raw)
 
 
+@pytest.mark.parametrize("bounds,index", [([0.0, "1"], 1), ([None, 1.0], 0), ([[0.0], 1.0], 0)])
+def test_array_element_kind_mismatch_rejected(bounds, index):
+    with pytest.raises(ConfigError, match=rf"'bounds\[{index}\]' must be a number"):
+        resolve(DEFAULTS, {"bounds": bounds})
+
+
 def test_int_and_float_interchangeable():
-    cfg = resolve(DEFAULTS, {"n": 4.5, "outer": {"middle": {"inner": 2}}})
-    assert cfg["n"] == 4.5 and cfg["outer"]["middle"]["inner"] == 2
+    cfg = resolve(DEFAULTS, {"n": 4.5, "bounds": [0, 2.5], "outer": {"middle": {"inner": 2}}})
+    assert cfg["n"] == 4.5 and cfg["bounds"] == [0, 2.5] and cfg["outer"]["middle"]["inner"] == 2
 
 
 @pytest.mark.parametrize("value", [3, "text", [1, 2], {"k": {"j": 1}}])

@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from microhom.homogenization import (
+    ASYMMETRY_CEILING,
+    ASYMMETRY_FACTOR,
     anisotropy_indicator,
     homogenized_stiffness,
     reconstruct_strain,
@@ -118,6 +120,29 @@ class TestHomogenizedStiffness:
         assert_allclose(cbar[0, 1], cbar[1, 0], rtol=1e-12)
         assert_allclose(cbar[0, 2], 2.0 * cbar[2, 0], rtol=1e-12)
         assert asym < 1e-6 * np.linalg.norm(cbar)
+
+
+class TestAsymmetryWarning:
+    @pytest.fixture(scope="class")
+    def contrast_34(self):
+        rve = generate_fiber_rve(0.6, 3.5, 0.01, DOMAIN, (64, 64), seed=1)
+        return assign_properties(rve, IsotropicProps(85.0, 0.2), IsotropicProps(2.5, 0.35))
+
+    @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-9])
+    def test_threshold_follows_tol(self, contrast_34, tol):
+        conc = strain_concentration(contrast_34, SolverConfig(tol=tol), domain=DOMAIN)
+        expected = min(ASYMMETRY_FACTOR * tol, ASYMMETRY_CEILING)
+        assert conc.metadata["asymmetry_threshold"] == expected
+
+    def test_under_converged_solve_warns(self, contrast_34):
+        conc = strain_concentration(contrast_34, SolverConfig(tol=1e-2), domain=DOMAIN)
+        with pytest.warns(UserWarning, match="homogenized stiffness asymmetry"):
+            homogenized_stiffness(contrast_34, conc)
+
+    def test_converged_solve_is_quiet(self, contrast_34, recwarn):
+        conc = strain_concentration(contrast_34, SolverConfig(tol=1e-6), domain=DOMAIN)
+        homogenized_stiffness(contrast_34, conc)
+        assert not [w for w in recwarn if "asymmetry" in str(w.message)]
 
 
 class TestAnisotropyIndicator:

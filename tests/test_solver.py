@@ -1,4 +1,4 @@
-"""Fixed-point solver against a dense linear-system oracle and its contracts."""
+"""Conjugate-gradient cell solver against a dense linear-system oracle and its contracts."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,10 @@ from oracles import dense_fixed_point_solution, disc_rve
 
 from microhom.errors import NonConvergenceError, ZeroMeanStressError
 from microhom.green import CONTINUOUS, ROTATED, make_freq_grid
-from microhom.microstructure import assign_properties
+from microhom.homogenization import strain_concentration
+from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.solver import SolverConfig, convergence_metric, solve_unit_load
-from microhom.voigt import IsotropicProps, stiffness_from_enu
+from microhom.voigt import IsotropicProps, Lame, stiffness_from_enu, stiffness_from_lame
 
 
 class TestHomogeneous:
@@ -68,6 +69,41 @@ class TestMeanFieldAndHistory:
         c_field = disc_rve(32, 8, contrast=25.0)
         res = solve_unit_load(c_field, [0, 0, 1], SolverConfig())
         assert res.imag_residue <= 1e-10
+
+
+class TestIterationBudget:
+    def test_contrast_34_cell_within_45_iterations(self):
+        # the criterion-3 cell; the basic fixed point needed 117-123 per load
+        domain = (50.0, 50.0)
+        rve = generate_fiber_rve(0.6, 3.5, 0.01, domain, (128, 128), seed=3)
+        c_field = assign_properties(rve, IsotropicProps(85.0, 0.2), IsotropicProps(2.5, 0.35))
+        conc = strain_concentration(c_field, SolverConfig(tol=1e-6), domain=domain)
+        assert all(load["iterations"] <= 45 for load in conc.metadata["loads"])
+
+    def test_reaches_1e_13(self):
+        # the curvature <z, C0:z> is taken on the spectrum as a sum of squares;
+        # as the real-space product -<sigma, z> it loses the digits below ~1e-10
+        domain = (50.0, 50.0)
+        rve = generate_fiber_rve(0.45, 5.0, 0.01, domain, (48, 48), seed=12)
+        c_field = assign_properties(rve, IsotropicProps(40.0, 0.3986), IsotropicProps(4.35, 0.39))
+        conc = strain_concentration(c_field, SolverConfig(tol=1e-13, max_iter=200), domain=domain)
+        assert all(load["residual"] <= 1e-13 for load in conc.metadata["loads"])
+
+
+class TestFailFast:
+    def test_indefinite_pixel_raises_at_once(self):
+        c_field = disc_rve(16, 4, contrast=10.0)
+        c_field[3, 3] = stiffness_from_lame(Lame(-3.0, 1.0))
+        with pytest.raises(NonConvergenceError, match="not positive definite") as exc:
+            solve_unit_load(c_field, [1, 0, 0], SolverConfig())
+        assert len(exc.value.history) < 50
+
+    def test_non_finite_tol_raises_at_once(self):
+        c_field = disc_rve(16, 4, contrast=10.0)
+        c_field[3, 3, 0, 0] = np.nan
+        with pytest.raises(NonConvergenceError, match="not finite") as exc:
+            solve_unit_load(c_field, [1, 0, 0], SolverConfig())
+        assert len(exc.value.history) == 1 and not np.isfinite(exc.value.history[0])
 
 
 class TestEdges:
