@@ -22,9 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .arrayio import read_array, read_header, write_array
-from .config import resolve
+from .config import kind, resolve
 from .errors import DomainError
-from .homogenization import strain_concentration
+from .homogenization import ConcentrationField, asymmetry_threshold, strain_concentration
 from .microstructure import assign_properties, generate_fiber_rve
 from .solver import SolverConfig
 from .voigt import IsotropicProps
@@ -59,6 +59,8 @@ class DatasetConfig:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise DomainError(f"{name} must be ordered lo <= hi, got ({lo}, {hi})")
+        if self.workers < 1:
+            raise DomainError(f"workers must be >= 1, got {self.workers}")
         if self.n_samples % self.n_vof_groups != 0:
             raise DomainError(
                 f"n_samples ({self.n_samples}) must be divisible by "
@@ -134,45 +136,76 @@ def sample_seed(master_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def write_sample(sdir, grid, a_field, info: dict, c_field=None) -> dict:
-    """Write one sample directory: the phase grid, the concentration field,
-    optionally the stiffness field, then sample.json holding `info`.
-    Returns the manifest's file map (name -> array shape, None for JSON)."""
+SAMPLE_PROPERTIES = ("E_f", "nu_f", "E_m", "nu_m")
+
+
+def write_sample(sdir, rve, fiber, matrix, conc, index, seed, vof_target,
+                 c_field=None) -> dict:
+    """Write one cell as a sample directory: the grid, the concentration
+    field, optionally the stiffness field, then sample.json.  Returns the
+    manifest entry without "dir": the file map, then the sample.json record."""
     sdir = Path(sdir)
     sdir.mkdir(parents=True, exist_ok=True)
     files = {}
-    for name, arr in (("rve.u8.bin", grid), ("a_field.f64.bin", a_field),
+    for name, arr in (("rve.u8.bin", rve.grid), ("a_field.f64.bin", conc.a),
                       ("c_field.f64.bin", c_field)):
         if arr is not None:
             write_array(sdir / name, arr)
             files[name] = list(arr.shape)
+    info = {
+        "index": index,
+        "seed": seed,
+        "vof_target": vof_target,
+        "achieved_vof": rve.achieved_vof,
+        "domain_size": list(rve.domain_size),
+        "properties": dict(zip(SAMPLE_PROPERTIES, (fiber.E, fiber.nu, matrix.E, matrix.nu))),
+        "tol": conc.metadata["tol"],
+        "loads": conc.metadata["loads"],
+    }
     (sdir / "sample.json").write_text(json.dumps(info, indent=1), encoding="utf-8")
     files["sample.json"] = None
-    return files
+    return {"files": files, **info}
 
 
 def read_sample(sdir):
-    """Read a sample directory back as (grid, a_field, info).
-
-    Raises DomainError naming the directory when a file is missing or
-    unreadable, or when the concentration field does not match the grid.
-    """
+    """Read a sample directory back as (grid, fiber, matrix, conc), with the
+    asymmetry threshold of the recorded solver tol (or the default tol) in
+    conc.metadata.  Raises DomainError naming the directory when a file is
+    missing or unreadable, sample.json is not an object or lacks a numeric
+    property, the grid holds anything but 0 and 1, or the concentration
+    field does not match the grid."""
     sdir = Path(sdir)
     try:
         grid = read_array(sdir / "rve.u8.bin")
         a_field = read_array(sdir / "a_field.f64.bin")
         info = json.loads((sdir / "sample.json").read_text(encoding="utf-8"))
+        if not isinstance(info, dict):
+            raise ValueError("sample.json must hold a JSON object")
+        props = info.get("properties")
+        props = props if isinstance(props, dict) else {}
+        missing = [k for k in SAMPLE_PROPERTIES if kind(props.get(k)) != "a number"]
+        if missing:
+            raise ValueError(f"sample.json lacks numeric properties {', '.join(missing)}")
+        tol = info.get("tol", SolverConfig().tol)
+        if kind(tol) != "a number" or not tol > 0:
+            raise ValueError(f"sample.json tol must be a positive number, got {tol!r}")
+        if not np.isin(grid, (0, 1)).all():
+            raise ValueError("grid values must be 0 or 1")
+        if grid.ndim != 2 or a_field.shape != grid.shape + (3, 3):
+            raise ValueError(f"a_field shape {a_field.shape} does not match grid {grid.shape}")
+        fiber = IsotropicProps(props["E_f"], props["nu_f"])
+        matrix = IsotropicProps(props["E_m"], props["nu_m"])
     except (OSError, ValueError) as err:
-        raise DomainError(f"{sdir}: not a readable sample directory: {err}") from err
-    if a_field.shape != grid.shape + (3, 3):
-        raise DomainError(f"{sdir}: a_field shape {a_field.shape} does not match the grid")
-    return grid, a_field, info
+        raise DomainError(f"{sdir}: {err}") from err
+    conc = ConcentrationField(a_field, {"asymmetry_threshold": asymmetry_threshold(tol)})
+    return grid, fiber, matrix, conc
 
 
 def _generate_one(cfg: DatasetConfig, index: int, props_row, vof: float, root: Path) -> dict:
     """Produce one sample directory; returns its manifest entry."""
     seed = sample_seed(cfg.master_seed, index)
-    ef, nuf, em, num = (float(v) for v in props_row)
+    fiber = IsotropicProps(float(props_row[0]), float(props_row[1]))
+    matrix = IsotropicProps(float(props_row[2]), float(props_row[3]))
     rve = generate_fiber_rve(
         vof_target=float(vof),
         r_mean=cfg.r_mean,
@@ -182,21 +215,12 @@ def _generate_one(cfg: DatasetConfig, index: int, props_row, vof: float, root: P
         seed=seed,
         gap_frac=cfg.gap_frac,
     )
-    c_field = assign_properties(rve, IsotropicProps(ef, nuf), IsotropicProps(em, num))
+    c_field = assign_properties(rve, fiber, matrix)
     conc = strain_concentration(c_field, cfg.solver, domain=cfg.domain_size)
-    info = {
-        "index": index,
-        "seed": seed,
-        "vof_target": float(vof),
-        "achieved_vof": rve.achieved_vof,
-        "domain_size": list(cfg.domain_size),
-        "properties": {"E_f": ef, "nu_f": nuf, "E_m": em, "nu_m": num},
-        "loads": conc.metadata["loads"],
-    }
     sdir = f"samples/{index:06d}"
     stiffness = c_field if cfg.store_stiffness else None
-    files = write_sample(root / sdir, rve.grid, conc.a, info, stiffness)
-    return {"dir": sdir, "files": files, **info}
+    entry = write_sample(root / sdir, rve, fiber, matrix, conc, index, seed, float(vof), stiffness)
+    return {"dir": sdir, **entry}
 
 
 def generate_dataset(cfg: DatasetConfig) -> dict:
@@ -220,12 +244,11 @@ def generate_dataset(cfg: DatasetConfig) -> dict:
         except DomainError as err:
             return index, None, f"{type(err).__name__}: {err}"
 
-    results = []
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run, range(cfg.n_samples)))
-    else:
-        results = [run(i) for i in range(cfg.n_samples)]
+    pool = ThreadPoolExecutor(max_workers=cfg.workers)
+    try:
+        results = list(pool.map(run, range(cfg.n_samples)))
+    finally:
+        pool.shutdown(cancel_futures=True)  # an error stops the queued samples
 
     samples = [entry for _, entry, _ in sorted(results) if entry is not None]
     failures = [
@@ -246,21 +269,29 @@ def validate_dataset(root, atol: float = 1e-8) -> list:
     """Re-check a dataset directory against its manifest.
 
     Verifies header/shape agreement for every referenced array, that every
-    file under samples/ is referenced exactly once, and that each stored
-    concentration field still averages to the identity within atol.
-    Returns a list of human-readable problems (empty when clean).
+    file under samples/ is referenced exactly once, and that each sample
+    passes read_sample with a concentration field averaging to the identity
+    within atol.  Returns a list of human-readable problems (empty if clean).
     """
     root = Path(root)
-    problems = []
     try:
         manifest = json.loads((root / MANIFEST_NAME).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as err:
         return [f"cannot read manifest: {err}"]
+    samples = manifest.get("samples") if isinstance(manifest, dict) else None
+    if not isinstance(samples, list):
+        return [f"{root / MANIFEST_NAME}: must hold an object with a 'samples' list"]
 
+    problems = []
     referenced = set()
-    for entry in manifest.get("samples", []):
-        sdir = root / entry["dir"]
-        for name, shape in entry["files"].items():
+    for i, entry in enumerate(samples):
+        try:
+            sdir, files = root / entry["dir"], entry["files"].items()
+        except (AttributeError, KeyError, TypeError):
+            problems.append(f"{root / MANIFEST_NAME}: samples[{i}] needs a 'dir' and a 'files' map")
+            continue
+        n_before = len(problems)
+        for name, shape in files:
             path = sdir / name
             referenced.add(path.resolve())
             if not path.exists():
@@ -273,18 +304,20 @@ def validate_dataset(root, atol: float = 1e-8) -> list:
             except DomainError as err:
                 problems.append(str(err))
                 continue
-            if list(header["shape"]) != list(shape):
+            if list(header["shape"]) != shape:
                 problems.append(
                     f"{path}: header shape {header['shape']} != manifest {shape}"
                 )
-        a_path = sdir / "a_field.f64.bin"
-        if a_path.exists():
-            a = read_array(a_path)
-            dev = np.abs(a.mean(axis=(0, 1)) - np.eye(3)).max()
-            if dev > atol:
-                problems.append(
-                    f"{a_path}: mean concentration deviates from identity by {dev:.3e}"
-                )
+        if len(problems) > n_before:
+            continue
+        try:
+            a = read_sample(sdir)[3].a
+        except DomainError as err:
+            problems.append(str(err))
+            continue
+        dev = np.abs(a.mean(axis=(0, 1)) - np.eye(3)).max()
+        if dev > atol:
+            problems.append(f"{sdir}: mean concentration deviates from identity by {dev:.3e}")
 
     samples_root = root / "samples"
     if samples_root.exists():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -27,9 +27,9 @@ import scipy.sparse.linalg
 
 from .arrayio import write_array
 from .config import resolve
-from .dataset import read_sample, sample_seed, stratify_vof, write_sample
+from .dataset import DatasetConfig, read_sample, sample_seed, stratify_vof, write_sample
 from .errors import DomainError, MeshError, NonConvergenceError
-from .homogenization import homogenized_stiffness, strain_concentration
+from .homogenization import ConcentrationField, homogenized_stiffness, strain_concentration
 from .microstructure import assign_properties, generate_fiber_rve
 from .solver import SolverConfig
 from .voigt import IsotropicProps
@@ -340,13 +340,12 @@ def kl_field(mesh: MacroMesh, cfg: GRFConfig) -> np.ndarray:
 
 @dataclass
 class ElementMicro:
-    """Per-element micro data: stiffness and concentration grids plus the
-    homogenized tangent used by the macro solve."""
+    """Per-element micro data: the homogenized tangent used by the macro
+    solve, plus the stiffness grid and concentration field when kept."""
 
     tangent: np.ndarray
     c_field: Optional[np.ndarray] = None
-    a_field: Optional[np.ndarray] = None
-    info: dict = field(default_factory=dict)
+    conc: Optional[ConcentrationField] = None
 
 
 def element_response(
@@ -364,37 +363,13 @@ def element_response(
     """
     c_field = assign_properties(rve_grid, fiber, matrix)
     conc = strain_concentration(c_field, solver, domain=domain)
-    tangent, asym = homogenized_stiffness(c_field, conc, symmetrize=False)
-    return ElementMicro(
-        tangent=tangent,
-        c_field=c_field if keep_fields else None,
-        a_field=conc.a if keep_fields else None,
-        info={"asymmetry": asym, "loads": conc.metadata["loads"]},
-    )
+    tangent, _ = homogenized_stiffness(c_field, conc, symmetrize=False)
+    return ElementMicro(tangent, c_field, conc) if keep_fields else ElementMicro(tangent)
 
 
-def element_response_from_files(element_dir) -> ElementMicro:
-    """Load one element's micro data from a sample directory
-    (dataset.read_sample).
-
-    This is the seam where a surrogate's precomputed concentration fields
-    substitute for the spectral solves: the tangent is <C A> of the stored
-    grid, phase properties and concentration field.
-    """
-    grid, a, info = read_sample(element_dir)
-    props = info.get("properties")
-    keys = ("E_f", "nu_f", "E_m", "nu_m")
-    missing = [k for k in keys if not isinstance(props, dict) or k not in props]
-    if missing:
-        raise DomainError(f"{element_dir}: sample.json lacks properties {', '.join(missing)}")
-    c_field = assign_properties(
-        grid,
-        IsotropicProps(props["E_f"], props["nu_f"]),
-        IsotropicProps(props["E_m"], props["nu_m"]),
-    )
-    tangent, asym = homogenized_stiffness(c_field, a, symmetrize=False)
-    return ElementMicro(tangent, c_field, a, {"asymmetry": asym, "source": "file"})
-
+# An element's fiber cell is a dataset cell at the plate's own resolution
+# and Poisson ratios.
+_CELL = asdict(DatasetConfig())
 
 _MULTISCALE_DEFAULTS = {
     "nx": 8,
@@ -411,12 +386,8 @@ _MULTISCALE_DEFAULTS = {
     "save_micro": False,
     "micro": {
         "resolution": [64, 64],
-        "domain": [50.0, 50.0],
-        "r_mean": 3.5,
-        "r_std_frac": 0.01,
-        "gap_frac": 0.1,
-        "vof_range": [0.40, 0.60],
-        "n_vof_groups": 20,
+        "domain": _CELL["domain_size"],
+        **{k: _CELL[k] for k in ("r_mean", "r_std_frac", "gap_frac", "vof_range", "n_vof_groups")},
         "nu_fiber": 0.2,
         "nu_matrix": 0.35,
         "solver": asdict(SolverConfig()),
@@ -430,6 +401,8 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
     """Full two-scale run driven by a config dict; writes per-step states and
     a reaction-force summary, returns the summary."""
     cfg = resolve(_MULTISCALE_DEFAULTS, raw_config)
+    if cfg["workers"] < 1:
+        raise DomainError(f"workers must be >= 1, got {cfg['workers']}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
@@ -448,7 +421,11 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
             raise DomainError(
                 f"a_field_dir holds {len(roots)} element dirs, mesh has {n_el} elements"
             )
-        tangents = [element_response_from_files(p).tangent for p in roots]
+        tangents = []
+        for cell_dir in roots:
+            grid, fiber, matrix, conc = read_sample(cell_dir)
+            c_field = assign_properties(grid, fiber, matrix)
+            tangents.append(homogenized_stiffness(c_field, conc, symmetrize=False)[0])
     else:
         ef_field = kl_field(mesh, GRFConfig(**cfg["grf_fiber"]))
         em_field = kl_field(mesh, GRFConfig(**cfg["grf_matrix"]))
@@ -473,19 +450,15 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
                 keep_fields=cfg["save_micro"],
             )
             if cfg["save_micro"]:
-                props = {"E_f": fiber.E, "nu_f": fiber.nu, "E_m": matrix.E, "nu_m": matrix.nu}
-                write_sample(out / "micro" / f"{e:06d}", rve.grid, el.a_field, {
-                    "index": e, "seed": seed, "vof_target": float(vofs[e]),
-                    "achieved_vof": rve.achieved_vof, "domain_size": list(micro["domain"]),
-                    "properties": props, "loads": el.info["loads"],
-                })
+                write_sample(out / "micro" / f"{e:06d}", rve, fiber, matrix, el.conc,
+                             e, seed, float(vofs[e]))
             return el.tangent
 
-        if cfg["workers"] > 1:
-            with ThreadPoolExecutor(max_workers=cfg["workers"]) as pool:
-                tangents = list(pool.map(solve_element, range(n_el)))
-        else:
-            tangents = [solve_element(e) for e in range(n_el)]
+        pool = ThreadPoolExecutor(max_workers=cfg["workers"])
+        try:
+            tangents = list(pool.map(solve_element, range(n_el)))
+        finally:
+            pool.shutdown(cancel_futures=True)  # an error stops the queued elements
 
     states = solve_plate(
         mesh,

@@ -91,7 +91,6 @@ class SolveResult:
     residual_history: list
     converged: bool
     mean_strain_history: Optional[np.ndarray] = None  # (iterations, 3) if recorded
-    imag_residue: float = 0.0
     metadata: dict = field(default_factory=dict)
 
 
@@ -194,7 +193,6 @@ def solve_unit_load(
 
     history = []
     mean_history = [] if config.record_history else None
-    imag_residue = 0.0
     n_updates = 0
     rz = 0.0  # <z, C0:z> of the previous iteration; 0 restarts the direction from z
 
@@ -220,15 +218,11 @@ def solve_unit_load(
         rz_new = _reference_energy(z_hat, green.lame0)
         p_hat = z_hat if rz == 0.0 else z_hat + (rz_new / rz) * p_hat
         rz = rz_new
-        p_complex = np.fft.ifft2(p_hat, axes=(0, 1))
-        p = p_complex.real
-        scale = np.abs(p).max()
-        if scale > 0:
-            imag_residue = max(imag_residue, float(np.abs(p_complex.imag).max() / scale))
+        p = np.fft.ifft2(p_hat, axes=(0, 1)).real
         curvature = _contract(p, _apply_stiffness(c_field, p))
         if curvature > 0:
             eps += (rz / curvature) * p
-        elif scale > 0:
+        elif np.abs(p).max() > 0:
             raise NonConvergenceError(
                 f"curvature <p, C:p> = {curvature:.3e} <= 0 at iteration {n_updates + 1}: "
                 "the stiffness field is not positive definite",
@@ -247,6 +241,5 @@ def solve_unit_load(
         residual_history=history,
         converged=True,
         mean_strain_history=None if mean_history is None else np.array(mean_history),
-        imag_residue=imag_residue,
         metadata={"lame0": (green.lame0.lam, green.lame0.mu), "scheme": grid.scheme},
     )

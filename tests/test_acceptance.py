@@ -204,7 +204,7 @@ def test_criterion_08_multiscale_patch_and_scaled_plate():
         uniform = np.zeros((48, 48), np.uint8)
         matrix = IsotropicProps(3.35, 0.34)
         el = element_response(uniform, matrix, matrix, SolverConfig(), DOMAIN)
-        assert np.abs(el.a_field - np.eye(3)).max() <= 1e-10
+        assert np.abs(el.conc.a - np.eye(3)).max() <= 1e-10
 
         mesh = rect_plate_mesh(4, 8, 0.05, 0.05)
         tangents = np.broadcast_to(el.tangent, (32, 3, 3)).copy()
@@ -256,7 +256,7 @@ def test_criterion_08_multiscale_patch_and_scaled_plate():
         final = states[-1]
         for e, element in enumerate(elements):
             sigma_m = final.stress_m[e]
-            _, sig = recover_micro(element.a_field, element.c_field, final.strain_m[e])
+            _, sig = recover_micro(element.conc.a, element.c_field, final.strain_m[e])
             rel = np.linalg.norm(sig.mean(axis=(0, 1)) - sigma_m) / np.linalg.norm(sigma_m)
             assert rel <= 1e-6
 

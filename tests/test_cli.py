@@ -8,11 +8,30 @@ import pytest
 from microhom.arrayio import read_array, write_array
 from microhom.cli import dispatch
 from microhom.dataset import write_sample
+from microhom.homogenization import strain_concentration
+from microhom.microstructure import Microstructure, assign_properties
+from microhom.solver import SolverConfig
+from microhom.voigt import IsotropicProps
 
 
 def write_config(path, cfg):
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def write_uniform_cell(cell):
+    """A valid 8x8 single-phase sample directory."""
+    grid = np.zeros((8, 8), dtype=np.uint8)
+    fiber, matrix = IsotropicProps(10.0, 0.3), IsotropicProps(2.0, 0.3)
+    conc = strain_concentration(assign_properties(grid, fiber, matrix), SolverConfig())
+    write_sample(cell, Microstructure(grid, (8.0, 8.0), 0.0, 0), fiber, matrix, conc, 0, 0, 0.0)
+
+
+def run_one_cell_plate(tmp_path):
+    return dispatch([
+        "multiscale", "--set", "nx=1", "--set", "ny=1",
+        "--set", f"a_field_dir={tmp_path / 'micro'}", "--out", str(tmp_path / "o"),
+    ])
 
 
 class TestUsageErrors:
@@ -141,6 +160,16 @@ class TestDatasetAndValidate:
         a[..., 0, 0] += 1.0
         write_array(target, a)
         assert dispatch(["validate", "--dataset", str(out)]) == 1
+
+    @pytest.mark.parametrize(
+        "manifest", ["[]", '{"samples": [{"dir": "samples/000000"}]}'],
+        ids=["array", "entry-without-files"],
+    )
+    def test_malformed_manifest_exits_1(self, tmp_path, capsys, manifest):
+        (tmp_path / "manifest.json").write_text(manifest)
+        assert dispatch(["validate", "--dataset", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "manifest.json" in err and "Traceback" not in err
 
     def test_echoed_config_reproduces_bitwise(self, tmp_path):
         base = {
@@ -275,34 +304,46 @@ class TestMultiscaleCommand:
         for rel in [*outputs, "summary.json"]:
             assert (solved / rel).read_bytes() == (loaded / rel).read_bytes()
 
+    def test_valid_micro_cell_runs(self, tmp_path):
+        write_uniform_cell(tmp_path / "micro" / "000000")
+        assert run_one_cell_plate(tmp_path) == 0
+
     @pytest.mark.parametrize("missing", ["a_field.f64.bin", "sample.json"])
     def test_incomplete_micro_cell_exits_1(self, tmp_path, capsys, missing):
         cell = tmp_path / "micro" / "000000"
-        write_sample(
-            cell, np.zeros((8, 8), dtype=np.uint8), np.broadcast_to(np.eye(3), (8, 8, 3, 3)),
-            {"properties": {"E_f": 10.0, "nu_f": 0.3, "E_m": 2.0, "nu_m": 0.3}},
-        )
+        write_uniform_cell(cell)
         (cell / missing).unlink()
-        assert dispatch([
-            "multiscale", "--set", "nx=1", "--set", "ny=1",
-            "--set", f"a_field_dir={tmp_path / 'micro'}", "--out", str(tmp_path / "o"),
-        ]) == 1
+        assert run_one_cell_plate(tmp_path) == 1
         assert str(cell) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "info", [{"seed": 1}, {"properties": {"E_f": 10.0, "nu_f": 0.3, "E_m": 2.0}}]
+        "info",
+        [
+            {"seed": 1},
+            {"properties": {"E_f": 10.0, "nu_f": 0.3, "E_m": 2.0}},
+            {"properties": {"E_f": 10.0, "nu_f": 0.3, "E_m": 2.0, "nu_m": "0.3"}},
+        ],
     )
     def test_micro_cell_without_properties_exits_1(self, tmp_path, capsys, info):
         cell = tmp_path / "micro" / "000000"
-        write_sample(
-            cell, np.zeros((8, 8), dtype=np.uint8), np.broadcast_to(np.eye(3), (8, 8, 3, 3)), info
-        )
-        assert dispatch([
-            "multiscale", "--set", "nx=1", "--set", "ny=1",
-            "--set", f"a_field_dir={tmp_path / 'micro'}", "--out", str(tmp_path / "o"),
-        ]) == 1
+        write_uniform_cell(cell)
+        (cell / "sample.json").write_text(json.dumps(info))
+        assert run_one_cell_plate(tmp_path) == 1
         err = capsys.readouterr().err
         assert str(cell) in err and "nu_m" in err
+
+    @pytest.mark.parametrize("defect", ["non-object sample.json", "grid value 2"])
+    def test_malformed_micro_cell_exits_1(self, tmp_path, capsys, defect):
+        cell = tmp_path / "micro" / "000000"
+        write_uniform_cell(cell)
+        if defect == "non-object sample.json":
+            (cell / "sample.json").write_text("[]")
+        else:
+            grid = read_array(cell / "rve.u8.bin")
+            grid[0, 0] = 2
+            write_array(cell / "rve.u8.bin", grid)
+        assert run_one_cell_plate(tmp_path) == 1
+        assert str(cell) in capsys.readouterr().err
 
     def test_missing_a_field_dir_exits_1(self, tmp_path):
         assert dispatch([

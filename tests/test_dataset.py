@@ -1,23 +1,27 @@
 """Dataset pipeline: sampling design, stratification, batch generation."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from microhom.arrayio import read_array
+from microhom.arrayio import read_array, write_array
 from microhom.dataset import (
     DatasetConfig,
     config_from_dict,
     config_hash,
     generate_dataset,
     lhs_sample,
+    read_sample,
     sample_seed,
     stratify_vof,
     validate_dataset,
 )
 from microhom.errors import ConfigError, DomainError
+from microhom.homogenization import asymmetry_threshold
 from microhom.solver import SolverConfig
+from microhom.voigt import IsotropicProps
 
 BOUNDS = [(5.0, 85.0), (0.05, 0.45), (2.5, 5.0), (0.3, 0.4)]
 
@@ -125,6 +129,21 @@ class TestGenerateDataset:
         problems = validate_dataset(scratch)
         assert any("not referenced" in p for p in problems)
 
+    @pytest.mark.parametrize("defect", ["non-object sample.json", "grid value 2"])
+    def test_validate_applies_the_sample_checks(self, small_dataset, tmp_path, defect):
+        out, _, _ = small_dataset
+        scratch = tmp_path / "copy"
+        shutil.copytree(out, scratch)
+        sdir = scratch / "samples" / "000001"
+        if defect == "non-object sample.json":
+            (sdir / "sample.json").write_text("[]")
+        else:
+            grid = read_array(sdir / "rve.u8.bin")
+            grid[0, 0] = 2
+            write_array(sdir / "rve.u8.bin", grid)
+        problems = validate_dataset(scratch)
+        assert len(problems) == 1 and str(sdir) in problems[0]
+
     def test_rerun_bitwise_identical(self, small_dataset, tmp_path):
         out, _, _ = small_dataset
         echo = json.loads((out / "config_echo.json").read_text())
@@ -171,7 +190,6 @@ class TestGenerateDataset:
 
     def test_store_stiffness_flag(self, tmp_path):
         from microhom.microstructure import assign_properties
-        from microhom.voigt import IsotropicProps
 
         cfg = DatasetConfig(
             n_samples=1,
@@ -194,12 +212,15 @@ class TestGenerateDataset:
         assert validate_dataset(tmp_path / "withc") == []
 
     def test_sample_dirs_feed_the_multiscale_seam(self, small_dataset):
-        from microhom.plate import element_response_from_files
-
         out, _, manifest = small_dataset
-        element = element_response_from_files(out / manifest["samples"][0]["dir"])
-        assert element.tangent.shape == (3, 3)
-        assert element.info["source"] == "file"
+        entry = manifest["samples"][0]
+        grid, fiber, matrix, conc = read_sample(out / entry["dir"])
+        p = entry["properties"]
+        assert (fiber, matrix) == (IsotropicProps(p["E_f"], p["nu_f"]),
+                                   IsotropicProps(p["E_m"], p["nu_m"]))
+        assert conc.a.shape == grid.shape + (3, 3)
+        assert entry["tol"] == 1e-6
+        assert conc.metadata["asymmetry_threshold"] == asymmetry_threshold(1e-6)
 
     def test_workers_match_serial(self, small_dataset, tmp_path):
         out, _, _ = small_dataset

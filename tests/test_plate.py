@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from microhom.dataset import read_sample, write_sample
 from microhom.errors import DomainError, MeshError
-from microhom.microstructure import generate_fiber_rve
+from microhom.homogenization import asymmetry_threshold, homogenized_stiffness
+from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.plate import (
     GRFConfig,
     assemble_stiffness,
@@ -15,6 +17,7 @@ from microhom.plate import (
     kl_field,
     recover_micro,
     rect_plate_mesh,
+    run_multiscale,
     solve_plate,
 )
 from microhom.solver import SolverConfig
@@ -165,7 +168,7 @@ def element():
 
 class TestRecovery:
     def test_zero_macro_zero_fields(self, element):
-        eps, sig = recover_micro(element.a_field, element.c_field, [0, 0, 0])
+        eps, sig = recover_micro(element.conc.a, element.c_field, [0, 0, 0])
         assert np.all(eps == 0.0) and np.all(sig == 0.0)
 
     def test_homogeneous_element_constant_stress(self):
@@ -177,7 +180,7 @@ class TestRecovery:
 
     def test_hill_consistency(self, element):
         macro = np.array([4e-3, -1e-3, 2e-3])
-        _, sig = recover_micro(element.a_field, element.c_field, macro)
+        _, sig = recover_micro(element.conc.a, element.c_field, macro)
         sigma_m = element.tangent @ macro
         rel = np.abs(sig.mean(axis=(0, 1)) - sigma_m).max() / np.abs(sigma_m).max()
         assert rel <= 1e-6
@@ -185,26 +188,31 @@ class TestRecovery:
 
 class TestSurrogateSeam:
     def test_precomputed_fields_round_trip(self, tmp_path):
-        from microhom.dataset import write_sample
-        from microhom.plate import element_response_from_files
-
         rve = generate_fiber_rve(0.5, 5.0, 0.01, (50.0, 50.0), (48, 48), seed=4)
         fiber, matrix = IsotropicProps(30.0, 0.25), IsotropicProps(3.0, 0.35)
         direct = element_response(rve.grid, fiber, matrix, SolverConfig(tol=1e-8), (50.0, 50.0))
 
         edir = tmp_path / "000000"
-        write_sample(edir, rve.grid, direct.a_field, {
-            "properties": {"E_f": 30.0, "nu_f": 0.25, "E_m": 3.0, "nu_m": 0.35},
-            "domain_size": [50.0, 50.0],
-        })
-        loaded = element_response_from_files(edir)
-        assert_allclose(loaded.tangent, direct.tangent, rtol=1e-12)
-        assert loaded.info["source"] == "file"
+        write_sample(edir, rve, fiber, matrix, direct.conc, 0, 4, 0.5)
+        grid, fiber2, matrix2, conc = read_sample(edir)
+        assert np.array_equal(grid, rve.grid) and np.array_equal(conc.a, direct.conc.a)
+        assert (fiber2, matrix2) == (fiber, matrix)
+        c_field = assign_properties(grid, fiber2, matrix2)
+        tangent, _ = homogenized_stiffness(c_field, conc, symmetrize=False)
+        assert_allclose(tangent, direct.tangent, rtol=1e-12)
+        assert conc.metadata["asymmetry_threshold"] == asymmetry_threshold(1e-8)
+
+    def test_saved_cell_carries_its_tol_threshold(self, tmp_path):
+        run_multiscale(
+            {"nx": 1, "ny": 1, "save_micro": True,
+             "micro": {"resolution": [32, 32], "solver": {"tol": 1e-9}}},
+            tmp_path / "out",
+        )
+        conc = read_sample(tmp_path / "out" / "micro" / "000000")[3]
+        # the plate's cells are solved at tol 1e-9, not the default 1e-6 (threshold 1e-5)
+        assert conc.metadata["asymmetry_threshold"] == 1e-8
 
     def test_run_multiscale_from_precomputed_fields(self, tmp_path):
-        from microhom.dataset import write_sample
-        from microhom.plate import run_multiscale
-
         # four precomputed element cells for a 2x2 plate
         rng_props = [(20.0, 0.2, 3.0, 0.35), (40.0, 0.25, 3.5, 0.34),
                      (60.0, 0.3, 4.0, 0.33), (30.0, 0.22, 3.2, 0.36)]
@@ -212,15 +220,10 @@ class TestSurrogateSeam:
         tangents = []
         for e, (ef, nuf, em, num) in enumerate(rng_props):
             rve = generate_fiber_rve(0.45, 5.0, 0.01, (50.0, 50.0), (48, 48), seed=50 + e)
-            el = element_response(
-                rve.grid, IsotropicProps(ef, nuf), IsotropicProps(em, num),
-                SolverConfig(tol=1e-8), (50.0, 50.0),
-            )
+            fiber, matrix = IsotropicProps(ef, nuf), IsotropicProps(em, num)
+            el = element_response(rve.grid, fiber, matrix, SolverConfig(tol=1e-8), (50.0, 50.0))
             tangents.append(el.tangent)
-            write_sample(micro_root / f"{e:06d}", rve.grid, el.a_field, {
-                "properties": {"E_f": ef, "nu_f": nuf, "E_m": em, "nu_m": num},
-                "domain_size": [50.0, 50.0],
-            })
+            write_sample(micro_root / f"{e:06d}", rve, fiber, matrix, el.conc, e, 50 + e, 0.45)
 
         summary = run_multiscale(
             {"nx": 2, "ny": 2, "s_total": 0.004, "load_steps": 2,

@@ -65,11 +65,6 @@ class TestMeanFieldAndHistory:
             iters.append(res.iterations)
         assert iters[0] <= iters[1] <= iters[2]
 
-    def test_real_field_closure(self):
-        c_field = disc_rve(32, 8, contrast=25.0)
-        res = solve_unit_load(c_field, [0, 0, 1], SolverConfig())
-        assert res.imag_residue <= 1e-10
-
 
 class TestIterationBudget:
     def test_contrast_34_cell_within_45_iterations(self):
