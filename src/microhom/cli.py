@@ -4,10 +4,10 @@ Runs are driven by JSON config files; individual keys can be overridden on
 the command line with dotted paths (--set solver.tol=1e-8).  Every config is
 overlaid on one tree of defaults (microhom.config.resolve): an unknown key,
 or a value whose kind (object, array, number, string or boolean) differs
-from its default, is a usage error that names the dotted path.  Every run
-writes the resolved config, every default included (also the plate's
-micro.solver), next to its outputs so it can be reproduced bitwise, plus a
-machine-readable summary JSON.  Diagnostics go to stderr.
+from its default, or a fractional number for an integer default, is a usage
+error that names the dotted path.  Every run writes the resolved config,
+every default included (also the plate's micro.solver), next to its outputs
+so it can be reproduced bitwise, plus a machine-readable summary JSON.  Diagnostics go to stderr.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """

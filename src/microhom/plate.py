@@ -6,6 +6,9 @@ driven through displacement steps by a Newton loop; each element's tangent
 comes from homogenizing its micro cell once up front, and micro fields are
 recovered on demand from the stored concentration tensors.
 
+Element kernels are batched (one array pass over all elements, no loop),
+and the SPD free-DOF stiffness is factored once in SuperLU's symmetric mode.
+
 Element Young's moduli can be modulated by a correlated Gaussian random
 field built from the truncated eigenexpansion of a squared-exponential
 covariance over element centroids.
@@ -35,6 +38,7 @@ from .solver import SolverConfig
 from .voigt import IsotropicProps
 
 _HOURGLASS_MODE = np.array([1.0, -1.0, 1.0, -1.0])
+_CORNERS = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])  # rows xi_a, eta_a
 
 
 @dataclass
@@ -64,6 +68,11 @@ class MacroMesh:
         mask[self.dof_fixed] = False
         mask[self.dof_loaded] = False
         return np.nonzero(mask)[0]
+
+    @property
+    def elem_dofs(self) -> np.ndarray:
+        """(E, 8) global DOFs of each element, ordered (u_x, u_y) per node."""
+        return np.stack([2 * self.elems, 2 * self.elems + 1], axis=2).reshape(-1, 8)
 
 
 @dataclass(frozen=True)
@@ -104,19 +113,17 @@ class MacroState:
 def rect_plate_mesh(nx: int, ny: int, elem_w: float, elem_h: float) -> MacroMesh:
     """Regular nx x ny element plate: bottom edge fixed in both directions,
     top edge driven vertically (horizontal top motion stays free)."""
-    if nx < 1 or ny < 1:
-        raise MeshError("mesh needs at least one element per direction")
+    if not all(float(n).is_integer() and n >= 1 for n in (nx, ny)):
+        raise MeshError(f"mesh needs a whole number >= 1 of elements per direction, "
+                        f"got {nx} x {ny}")
+    nx, ny = int(nx), int(ny)
     xs = np.arange(nx + 1) * elem_w
     ys = np.arange(ny + 1) * elem_h
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     nodes = np.column_stack([X.ravel(), Y.ravel()])  # node id = iy*(nx+1) + ix
 
-    elems = []
-    for iy in range(ny):
-        for ix in range(nx):
-            n00 = iy * (nx + 1) + ix
-            elems.append([n00, n00 + 1, n00 + nx + 2, n00 + nx + 1])
-    elems = np.array(elems, dtype=int)
+    n00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()  # element id = iy*nx + ix
+    elems = np.column_stack([n00, n00 + 1, n00 + nx + 2, n00 + nx + 1])
 
     bottom = np.arange(nx + 1)
     top = ny * (nx + 1) + np.arange(nx + 1)
@@ -125,38 +132,21 @@ def rect_plate_mesh(nx: int, ny: int, elem_w: float, elem_h: float) -> MacroMesh
     return MacroMesh(nodes, elems, np.sort(dof_fixed), np.sort(dof_loaded))
 
 
-def _grad_at(xi: float, eta: float) -> np.ndarray:
-    """Parent-space shape gradients of the bilinear quad, rows (d/dxi, d/deta)."""
-    return 0.25 * np.array(
-        [
-            [-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)],
-            [-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)],
-        ]
-    )
-
-
-def _b_matrix(coords: np.ndarray, xi: float = 0.0, eta: float = 0.0):
-    """Engineering B matrix (rows e11, e22, gamma12) and Jacobian determinant."""
-    grad = _grad_at(xi, eta)
-    jac = grad @ coords
-    det = np.linalg.det(jac)
-    if det <= 0:
-        raise MeshError(f"non-positive Jacobian determinant {det}")
-    dndx = np.linalg.solve(jac, grad)  # rows d/dx, d/dy
-    b = np.zeros((3, 8))
-    b[0, 0::2] = dndx[0]
-    b[1, 1::2] = dndx[1]
-    b[2, 0::2] = dndx[1]
-    b[2, 1::2] = dndx[0]
+def _kinematics(coords: np.ndarray, xi: float = 0.0, eta: float = 0.0):
+    """At one parent point, coords (E, 4, 2) give every element's B matrix
+    (E, 3, 8; rows e11, e22, gamma12), Jacobian determinant (E,) and shape
+    gradients dndx (E, 2, 4; rows d/dx, d/dy)."""
+    grad = 0.25 * _CORNERS * (1.0 + _CORNERS[::-1] * [[eta], [xi]])  # rows d/dxi, d/deta
+    jac = np.einsum("ka,eaj->ekj", grad, coords)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    bad = np.flatnonzero(~(det > 0))
+    if bad.size:
+        raise MeshError(f"element {bad[0]}: non-positive Jacobian determinant {det[bad[0]]}")
+    dndx = np.linalg.solve(jac, np.broadcast_to(grad, (len(coords), 2, 4)))
+    b = np.zeros((len(coords), 3, 8))
+    b[:, 0, 0::2] = b[:, 2, 1::2] = dndx[:, 0]
+    b[:, 1, 1::2] = b[:, 2, 0::2] = dndx[:, 1]
     return b, det, dndx
-
-
-def _engineering_tangent(c_storage: np.ndarray) -> np.ndarray:
-    """Convert the tensorial-shear Voigt storage to the engineering form that
-    contracts with (e11, e22, gamma12): halve the shear column."""
-    c = np.array(c_storage, dtype=float)
-    c[:, 2] *= 0.5
-    return c
 
 
 def element_stiffness(
@@ -165,40 +155,43 @@ def element_stiffness(
     hourglass_coef: float = 0.005,
     integration: str = "reduced",
 ) -> np.ndarray:
-    """8x8 element stiffness.
+    """Stiffness of every element: coords (E, 4, 2) and storage-convention
+    tangents (E, 3, 3) give (E, 8, 8).
 
     Reduced integration samples the center only and adds perturbation
     hourglass stiffness along the two zero-energy modes; full 2x2 integration
     is available for verification runs and needs no stabilization.
     """
-    c_eng = _engineering_tangent(c_storage)
+    c_eng = np.array(c_storage, dtype=float)
+    c_eng[..., 2] *= 0.5  # engineering shear column, contracts with (e11, e22, gamma12)
     if integration == "full":
         gp = 1.0 / np.sqrt(3.0)
-        k = np.zeros((8, 8))
+        k = 0.0
         for xi in (-gp, gp):
             for eta in (-gp, gp):
-                b, det, _ = _b_matrix(coords, xi, eta)
-                k += det * b.T @ c_eng @ b
-        return 0.5 * (k + k.T)
+                b, det, _ = _kinematics(coords, xi, eta)
+                k = k + det[:, None, None] * np.einsum("eia,eij,ejb->eab", b, c_eng, b)
+        return 0.5 * (k + k.transpose(0, 2, 1))
     if integration != "reduced":
         raise DomainError(f"unknown integration {integration!r}")
 
-    b, det, dndx = _b_matrix(coords)
+    b, det, dndx = _kinematics(coords)
     area = 4.0 * det
-    k = area * b.T @ c_eng @ b
+    k = area[:, None, None] * np.einsum("eia,eij,ejb->eab", b, c_eng, b)
 
     # Hourglass control: project the hourglass mode out of the linear field,
     # then penalize it with a small fraction of the element stiffness scale.
     gamma = (
         _HOURGLASS_MODE
-        - (_HOURGLASS_MODE @ coords[:, 0]) * dndx[0]
-        - (_HOURGLASS_MODE @ coords[:, 1]) * dndx[1]
+        - (coords[:, :, 0] @ _HOURGLASS_MODE)[:, None] * dndx[:, 0]
+        - (coords[:, :, 1] @ _HOURGLASS_MODE)[:, None] * dndx[:, 1]
     )
-    k_hg = hourglass_coef * (np.trace(c_eng) / 3.0) * area * float((dndx**2).sum())
-    hg_block = k_hg * np.outer(gamma, gamma)
-    k[0::2, 0::2] += hg_block
-    k[1::2, 1::2] += hg_block
-    return 0.5 * (k + k.T)
+    k_hg = (hourglass_coef * (np.trace(c_eng, axis1=1, axis2=2) / 3.0) * area
+            * (dndx**2).sum(axis=(1, 2)))
+    hg_block = k_hg[:, None, None] * gamma[:, :, None] * gamma[:, None, :]
+    k[:, 0::2, 0::2] += hg_block
+    k[:, 1::2, 1::2] += hg_block
+    return 0.5 * (k + k.transpose(0, 2, 1))
 
 
 def assemble_stiffness(
@@ -208,29 +201,21 @@ def assemble_stiffness(
     integration: str = "reduced",
 ) -> scipy.sparse.csr_matrix:
     """Global stiffness from per-element tangents (storage convention)."""
-    rows, cols, vals = [], [], []
-    for e, conn in enumerate(mesh.elems):
-        ke = element_stiffness(mesh.nodes[conn], tangents[e], hourglass_coef, integration)
-        dofs = np.column_stack([2 * conn, 2 * conn + 1]).ravel()
-        rows.append(np.repeat(dofs, 8))
-        cols.append(np.tile(dofs, 8))
-        vals.append(ke.ravel())
+    ke = element_stiffness(mesh.nodes[mesh.elems], tangents, hourglass_coef, integration)
+    dofs = mesh.elem_dofs
     n = mesh.n_dofs
     return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (ke.ravel(), (np.repeat(dofs, 8, axis=1).ravel(), np.tile(dofs, 8).ravel())),
         shape=(n, n),
     )
 
 
 def element_strains(mesh: MacroMesh, displacement: np.ndarray) -> np.ndarray:
     """Tensorial centroid strain of every element from nodal displacements."""
-    out = np.empty((len(mesh.elems), 3))
-    for e, conn in enumerate(mesh.elems):
-        b, _, _ = _b_matrix(mesh.nodes[conn])
-        dofs = np.column_stack([2 * conn, 2 * conn + 1]).ravel()
-        eng = b @ displacement[dofs]
-        out[e] = (eng[0], eng[1], 0.5 * eng[2])
-    return out
+    b, _, _ = _kinematics(mesh.nodes[mesh.elems])
+    strain = np.einsum("eij,ej->ei", b, displacement[mesh.elem_dofs])
+    strain[:, 2] *= 0.5
+    return strain
 
 
 def solve_plate(
@@ -248,7 +233,10 @@ def solve_plate(
     The total edge displacement is divided linearly over the load steps; each
     step runs a Newton loop (assemble residual, solve on the free DOFs,
     update) until the free-DOF residual norm drops below newton_tol.  The
-    reaction is the internal-force sum over the loaded DOFs.
+    reaction is the internal-force sum over the loaded DOFs.  The free-DOF
+    stiffness, assembled from the batched element kernels, is SPD: it is
+    factored once in SuperLU's symmetric mode (minimum degree on A^T + A) and
+    reused; a singular one raises DomainError.
     """
     tangents = np.asarray(tangents, dtype=float)
     if tangents.shape != (len(mesh.elems), 3, 3):
@@ -259,7 +247,9 @@ def solve_plate(
         raise DomainError("no free DOFs: the mesh is fully prescribed")
     k_ff = k_global[np.ix_(free, free)].tocsc()
     try:
-        lu = scipy.sparse.linalg.splu(k_ff)
+        lu = scipy.sparse.linalg.splu(
+            k_ff, permc_spec="MMD_AT_PLUS_A", options=dict(SymmetricMode=True)
+        )
     except RuntimeError as err:
         raise DomainError(f"singular macro stiffness: {err}") from err
 

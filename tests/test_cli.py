@@ -56,6 +56,7 @@ class TestUsageErrors:
             ("dataset", "solver=5"),
             ("dataset", "resolution=64"),
             ("multiscale", "nx=two"),
+            ("multiscale", "nx=2.5 ny=1"),
             ("dataset", "n_samples=two"),
             ("gen-rve", "rve.fiber.vof=abc"),
             pytest.param(

@@ -56,8 +56,23 @@ def test_array_element_kind_mismatch_rejected(bounds, index):
 
 
 def test_int_and_float_interchangeable():
-    cfg = resolve(DEFAULTS, {"n": 4.5, "bounds": [0, 2.5], "outer": {"middle": {"inner": 2}}})
-    assert cfg["n"] == 4.5 and cfg["bounds"] == [0, 2.5] and cfg["outer"]["middle"]["inner"] == 2
+    cfg = resolve(DEFAULTS, {"n": 4.0, "bounds": [0, 2.5], "outer": {"middle": {"inner": 2}}})
+    assert cfg["n"] == 4 and cfg["bounds"] == [0, 2.5] and cfg["outer"]["middle"]["inner"] == 2
+    assert type(cfg["n"]) is int  # a whole float for an int default is stored as an int
+
+
+@pytest.mark.parametrize("raw,path", [({"n": 4.5}, "n"), ({"n": float("nan")}, "n"),
+                                      ({"n": float("inf")}, "n")])
+def test_int_default_needs_a_whole_number(raw, path):
+    with pytest.raises(ConfigError, match=f"'{path}' must be a whole number"):
+        resolve(DEFAULTS, raw)
+
+
+def test_int_array_elements_need_whole_numbers():
+    defaults = {"resolution": [64, 64]}
+    assert resolve(defaults, {"resolution": [32.0, 16]})["resolution"] == [32, 16]
+    with pytest.raises(ConfigError, match=r"'resolution\[1\]' must be a whole number"):
+        resolve(defaults, {"resolution": [32, 16.5]})
 
 
 @pytest.mark.parametrize("value", [3, "text", [1, 2], {"k": {"j": 1}}])

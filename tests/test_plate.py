@@ -22,8 +22,10 @@ from microhom.plate import (
 )
 from microhom.solver import SolverConfig
 from microhom.voigt import IsotropicProps, stiffness_from_enu
+from oracles import assemble_stiffness_loop, element_strains_loop
 
 C_EPOXY = stiffness_from_enu(IsotropicProps(3.35, 0.34))
+UNIT_SQUARE = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
 
 
 def homogeneous_tangents(mesh, c=C_EPOXY):
@@ -46,6 +48,48 @@ class TestMesh:
         with pytest.raises(MeshError):
             assemble_stiffness(mesh, homogeneous_tangents(mesh))
 
+    def test_flipped_interior_element_named(self):
+        mesh = rect_plate_mesh(3, 3, 1.0, 1.0)
+        mesh.elems[4] = mesh.elems[4, ::-1]  # the center element, clockwise
+        with pytest.raises(MeshError, match=r"element 4: non-positive Jacobian determinant -"):
+            assemble_stiffness(mesh, homogeneous_tangents(mesh))
+        with pytest.raises(MeshError, match=r"element 4:"):
+            element_strains(mesh, np.zeros(mesh.n_dofs))
+
+    @pytest.mark.parametrize("nx,ny", [(2.5, 1), (1, 0.5), (0, 3), (2, -1)])
+    def test_element_counts_must_be_whole_and_positive(self, nx, ny):
+        with pytest.raises(MeshError):
+            rect_plate_mesh(nx, ny, 1.0, 1.0)
+
+    def test_whole_float_counts_give_the_int_mesh(self):
+        mesh, ref = rect_plate_mesh(3.0, 2.0, 1.0, 1.0), rect_plate_mesh(3, 2, 1.0, 1.0)
+        assert np.array_equal(mesh.elems, ref.elems) and np.array_equal(mesh.nodes, ref.nodes)
+
+
+def distorted_mesh(seed=0):
+    """A 3x4 plate with every node moved up to 0.3 of an element size (all
+    Jacobians stay positive) and a different random SPD tangent per element."""
+    rng = np.random.default_rng(seed)
+    mesh = rect_plate_mesh(3, 4, 0.05, 0.04)
+    mesh.nodes = mesh.nodes + rng.uniform(-0.3, 0.3, mesh.nodes.shape) * [0.05, 0.04]
+    a = rng.standard_normal((len(mesh.elems), 3, 3))
+    return mesh, a @ a.transpose(0, 2, 1) + 0.5 * np.eye(3)
+
+
+class TestBatchedAgainstLoop:
+    @pytest.mark.parametrize("integration", ["reduced", "full"])
+    def test_assemble_stiffness(self, integration):
+        mesh, tangents = distorted_mesh()
+        k = assemble_stiffness(mesh, tangents, integration=integration).toarray()
+        ref = assemble_stiffness_loop(mesh, tangents, integration)
+        assert np.abs(k - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_element_strains(self):
+        mesh, _ = distorted_mesh()
+        u = np.random.default_rng(1).standard_normal(mesh.n_dofs)
+        eps, ref = element_strains(mesh, u), element_strains_loop(mesh, u)
+        assert np.abs(eps - ref).max() <= 1e-13 * np.abs(ref).max()
+
 
 class TestElement:
     def test_patch_uniform_strain(self):
@@ -58,16 +102,14 @@ class TestElement:
         assert_allclose(C_EPOXY @ eps, C_EPOXY @ [delta, 0.0, 0.0], rtol=1e-15)
 
     def test_hourglass_restores_rank(self):
-        coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        k_bare = element_stiffness(coords, C_EPOXY, hourglass_coef=0.0)
-        k_stab = element_stiffness(coords, C_EPOXY)
+        k_bare = element_stiffness(UNIT_SQUARE, C_EPOXY[None], hourglass_coef=0.0)[0]
+        k_stab = element_stiffness(UNIT_SQUARE, C_EPOXY[None])[0]
         # 3 rigid modes are legitimate; one-point integration leaves 2 more
         assert np.linalg.matrix_rank(k_bare, tol=1e-10) == 3
         assert np.linalg.matrix_rank(k_stab, tol=1e-10) == 5
 
     def test_full_integration_needs_no_stabilization(self):
-        coords = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        k = element_stiffness(coords, C_EPOXY, integration="full")
+        k = element_stiffness(UNIT_SQUARE, C_EPOXY[None], integration="full")[0]
         assert np.linalg.matrix_rank(k, tol=1e-10) == 5
 
 
@@ -120,6 +162,11 @@ class TestPlateSolve:
         mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
         with pytest.raises(DomainError):
             solve_plate(mesh, np.zeros((3, 3, 3)), 1, 0.1)
+
+    def test_zero_tangents_singular(self):
+        mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
+        with pytest.raises(DomainError, match="singular macro stiffness"):
+            solve_plate(mesh, np.zeros((4, 3, 3)), 1, 0.1)
 
 
 class TestKlField:
