@@ -23,14 +23,17 @@ import numpy as np
 
 from .arrayio import read_array, read_header, write_array
 from .config import kind, resolve
-from .errors import DomainError
+from .errors import ConfigError, DomainError
+from .green import make_freq_grid
 from .homogenization import ConcentrationField, asymmetry_threshold, strain_concentration
 from .microstructure import assign_properties, generate_fiber_rve
-from .solver import SolverConfig
+from .solver import SolverConfig, convergence_metric
 from .voigt import IsotropicProps
 
 MANIFEST_NAME = "manifest.json"
 CONFIG_ECHO_NAME = "config_echo.json"
+# Slack on a Tol recomputed from stored fields; ulp-level stress changes move it ~1e-19.
+EQUILIBRIUM_ROUNDOFF = 1e-15
 
 
 @dataclass(frozen=True)
@@ -169,7 +172,7 @@ def write_sample(sdir, rve, fiber, matrix, conc, index, seed, vof_target,
 
 def read_sample(sdir):
     """Read a sample directory back as (grid, fiber, matrix, conc), with the
-    asymmetry threshold of the recorded solver tol (or the default tol) in
+    recorded solver tol (or the default tol) and its asymmetry threshold in
     conc.metadata.  Raises DomainError naming the directory when a file is
     missing or unreadable, sample.json is not an object or lacks a numeric
     property, the grid holds anything but 0 and 1, or the concentration
@@ -197,7 +200,8 @@ def read_sample(sdir):
         matrix = IsotropicProps(props["E_m"], props["nu_m"])
     except (OSError, ValueError) as err:
         raise DomainError(f"{sdir}: {err}") from err
-    conc = ConcentrationField(a_field, {"asymmetry_threshold": asymmetry_threshold(tol)})
+    conc = ConcentrationField(a_field, {"tol": tol})
+    conc.metadata["asymmetry_threshold"] = asymmetry_threshold(tol)
     return grid, fiber, matrix, conc
 
 
@@ -271,7 +275,9 @@ def validate_dataset(root, atol: float = 1e-8) -> list:
     Verifies header/shape agreement for every referenced array, that every
     file under samples/ is referenced exactly once, and that each sample
     passes read_sample with a concentration field averaging to the identity
-    within atol.  Returns a list of human-readable problems (empty if clean).
+    within atol and in equilibrium (each unit load's Tol, recomputed from the
+    stored fields on the manifest config's domain and scheme, within the
+    recorded tol).  Returns a list of human-readable problems (empty if clean).
     """
     root = Path(root)
     try:
@@ -279,8 +285,12 @@ def validate_dataset(root, atol: float = 1e-8) -> list:
     except (OSError, json.JSONDecodeError) as err:
         return [f"cannot read manifest: {err}"]
     samples = manifest.get("samples") if isinstance(manifest, dict) else None
-    if not isinstance(samples, list):
-        return [f"{root / MANIFEST_NAME}: must hold an object with a 'samples' list"]
+    if not isinstance(samples, list) or not isinstance(manifest.get("config"), dict):
+        return [f"{root / MANIFEST_NAME}: must hold an object with a 'samples' list and a 'config'"]
+    try:
+        cfg = config_from_dict(manifest["config"])
+    except (ConfigError, DomainError) as err:
+        return [f"{root / MANIFEST_NAME}: config: {err}"]
 
     problems = []
     referenced = set()
@@ -311,13 +321,23 @@ def validate_dataset(root, atol: float = 1e-8) -> list:
         if len(problems) > n_before:
             continue
         try:
-            a = read_sample(sdir)[3].a
+            grid, fiber, matrix, conc = read_sample(sdir)
         except DomainError as err:
             problems.append(str(err))
             continue
-        dev = np.abs(a.mean(axis=(0, 1)) - np.eye(3)).max()
+        dev = np.abs(conc.a.mean(axis=(0, 1)) - np.eye(3)).max()
         if dev > atol:
             problems.append(f"{sdir}: mean concentration deviates from identity by {dev:.3e}")
+            continue
+        # Column j of A is the strain of unit load j: sigma_j = C : A e_j.
+        stress = np.einsum("xyij,xyjk->xyik", assign_properties(grid, fiber, matrix), conc.a)
+        stress_hat = np.fft.fft2(stress, axes=(0, 1))
+        freqs = make_freq_grid(grid.shape, cfg.domain_size, cfg.solver.scheme)
+        tol = conc.metadata["tol"]
+        for j in range(3):
+            residual = convergence_metric(stress_hat[..., j], freqs)
+            if not residual <= tol + EQUILIBRIUM_ROUNDOFF:
+                problems.append(f"{sdir}: unit load {j} has Tol {residual:.3e} > tol {tol:.1e}")
 
     samples_root = root / "samples"
     if samples_root.exists():

@@ -10,6 +10,10 @@ Contracting such a matrix with a tensorial-shear 3-vector therefore requires
 halving the third component of the plain matrix-vector product; that is what
 :func:`apply_green` does.  The stiffness matrices of :mod:`.voigt` only carry
 the column factor, so they contract by plain product.
+
+Memory layout: ``GreenField.g`` is a (T1, T2, 3, 3) view of a component-major
+(3, 3, T1, T2) array, so each entry is one contiguous plane for the einsum of
+:func:`apply_green`; component-last arrays work too, through strided access.
 """
 
 from __future__ import annotations
@@ -135,32 +139,24 @@ def green_operator(grid: FreqGrid, lame0: Lame) -> GreenField:
               [0,       4 x2^2, 4 x1 x2 ],  / |x|^2       [x1^2 x2^2, x2^4,      2 x1 x2^3],   / |x|^4
               [4 x1 x2, 4 x1 x2, 4|x|^2 ]]               [2 x1^3 x2, 2 x1 x2^3, 4 x1^2 x2^2]]
 
+    that is, G1 = 4 (u u^T + v v^T) and G2 = -w w^T for u = (x1, 0, x2),
+    v = (0, x2, x1) and w = (x1^2, x2^2, 2 x1 x2), so G0 is one weighted sum of
+    outer products, written straight into component-major planes.
     Frequencies with |xi| == 0 (the DC bin, plus the Nyquist corner of a
-    rotated grid) get the zero matrix, written as an explicit special case.
+    rotated grid) have u = v = w = 0 and so get the zero matrix.
     """
     lam0, mu0 = lame0.lam, lame0.mu
     if 2.0 * mu0 + lam0 == 0.0:
         raise DegenerateMediumError("reference medium has 2*mu0 + lam0 == 0")
     x1, x2 = grid.xi1, grid.xi2
     nsq = x1 * x1 + x2 * x2
-    zero = nsq == 0.0
-    n2 = np.where(zero, 1.0, nsq)
-    n4 = n2 * n2
-
-    g = np.empty(grid.shape + (3, 3))
+    inv = 1.0 / np.where(nsq == 0.0, 1.0, nsq)
+    zero = np.zeros_like(x1)
+    uvw = np.array([[x1, zero, x2], [zero, x2, x1], [x1 * x1, x2 * x2, 2.0 * x1 * x2]])
     c1 = 1.0 / (4.0 * mu0)
     c2 = (mu0 + lam0) / (mu0 * (2.0 * mu0 + lam0))
-
-    g[..., 0, 0] = c1 * (4.0 * x1 * x1) / n2 - c2 * (x1**4) / n4
-    g[..., 1, 1] = c1 * (4.0 * x2 * x2) / n2 - c2 * (x2**4) / n4
-    g[..., 2, 2] = c1 * (4.0 * nsq) / n2 - c2 * (4.0 * x1 * x1 * x2 * x2) / n4
-    g[..., 0, 1] = -c2 * (x1 * x1 * x2 * x2) / n4
-    g[..., 0, 2] = c1 * (4.0 * x1 * x2) / n2 - c2 * (2.0 * x1**3 * x2) / n4
-    g[..., 1, 2] = c1 * (4.0 * x1 * x2) / n2 - c2 * (2.0 * x1 * x2**3) / n4
-    g[..., 1, 0] = g[..., 0, 1]
-    g[..., 2, 0] = g[..., 0, 2]
-    g[..., 2, 1] = g[..., 1, 2]
-    g[zero] = 0.0
+    weights = np.array([4.0 * c1 * inv, 4.0 * c1 * inv, -c2 * inv * inv])
+    g = np.einsum("kxy,kixy,kjxy->ijxy", weights, uvw, uvw)
 
     if grid.scheme == CONTINUOUS:
         # Unpaired Nyquist lines of an even grid alias +pi and -pi; a real
@@ -175,20 +171,21 @@ def green_operator(grid: FreqGrid, lame0: Lame) -> GreenField:
                 sl = [slice(None), slice(None)]
                 sl[axis] = T // 2
                 for i, j in ((0, 2), (1, 2), (2, 0), (2, 1)):
-                    g[tuple(sl) + (i, j)] = 0.0
-    return GreenField(g, lame0, grid.scheme)
+                    g[(i, j) + tuple(sl)] = 0.0
+    return GreenField(g.transpose(2, 3, 0, 1), lame0, grid.scheme)
 
 
 def apply_green(g: np.ndarray, field: np.ndarray) -> np.ndarray:
     """Contract the stored Green matrices with a tensorial-shear vector field.
 
-    The symmetric storage doubles the shear row as well as the shear column,
-    so the tensor contraction is the plain product with its third component
-    halved.
+    g (T1, T2, 3, 3) and field (T1, T2, 3) may be in any memory order; the
+    result is component-major in memory when both are.  The symmetric storage
+    doubles the shear row as well as the shear column, so the tensor
+    contraction is the plain product with its third component halved.
     """
-    out = np.einsum("...ij,...j->...i", g, field)
-    out[..., 2] *= 0.5
-    return out
+    out = np.einsum("ijxy,jxy->ixy", g.transpose(2, 3, 0, 1), field.transpose(2, 0, 1))
+    out[2] *= 0.5
+    return out.transpose(1, 2, 0)
 
 
 def reference_material(lam_grid: np.ndarray, mu_grid: np.ndarray) -> Lame:

@@ -28,6 +28,12 @@ iteration.
 The FFT pair is numpy's unnormalized forward / 1/(T1*T2)-normalized inverse;
 the convergence metric depends on that normalization, so it is fixed here.
 
+Memory layout: cell fields are held component-major, (3, T1, T2) and
+(3, 3, T1, T2), so the FFTs, C:eps and the Green product each run over
+contiguous planes, and the loop updates preallocated p, C:p, sigma and p_hat
+in place.  Sums reduce per plane with einsum, not BLAS, whose split of a sum
+follows the thread count.  Public (T1, T2, 3) shapes are transposed views.
+
 The rotated scheme (default) balances every mode of an even grid and reaches
 arbitrarily tight tolerances; the continuous scheme does the same on odd
 grids but on even grids stalls at a floor set by the unpaired Nyquist lines,
@@ -103,42 +109,47 @@ def convergence_metric(stress_hat: np.ndarray, freqs: FreqGrid) -> float:
     (xi1*s11 + xi2*s12, xi1*s12 + xi2*s22) and the denominator contracts the
     zero-frequency stress with itself.  The frequencies are taken from the
     grid as stored, so a rotated grid measures balance in its own
-    finite-difference sense.
+    finite-difference sense.  stress_hat is (T1, T2, 3), in any memory order.
     """
+    s = stress_hat.transpose(2, 0, 1)
     s0 = stress_hat[0, 0]
     denom = abs(s0[0]) ** 2 + abs(s0[1]) ** 2 + 2.0 * abs(s0[2]) ** 2
     if denom == 0.0:
         raise ZeroMeanStressError("mean stress is zero; equilibrium index undefined")
-    r1 = freqs.xi1 * stress_hat[..., 0] + freqs.xi2 * stress_hat[..., 2]
-    r2 = freqs.xi1 * stress_hat[..., 2] + freqs.xi2 * stress_hat[..., 1]
-    num = np.sum(r1.real**2 + r1.imag**2 + r2.real**2 + r2.imag**2)
-    n_pix = stress_hat.shape[0] * stress_hat.shape[1]
-    return float(np.sqrt(num / (n_pix * denom)))
+    r1 = freqs.xi1 * s[0] + freqs.xi2 * s[2]
+    r2 = freqs.xi1 * s[2] + freqs.xi2 * s[1]
+    num = _sum_sq(r1) + _sum_sq(r2)
+    return float(np.sqrt(num / (s.shape[1] * s.shape[2] * denom)))
 
 
-def _apply_stiffness(c_field: np.ndarray, strain: np.ndarray) -> np.ndarray:
-    """sigma(x) = C(x) : eps(x)."""
-    return np.einsum("xyij,xyj->xyi", c_field, strain)
+def _sum_sq(a: np.ndarray):
+    """Sum of |a|^2 over the last two axes of a real or complex array."""
+    v = np.ascontiguousarray(a).view(float)
+    return np.einsum("...xy,...xy->...", v, v)
+
+
+def _apply_stiffness(c: np.ndarray, strain: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """sigma(x) = C(x) : eps(x), component-major: c (3, 3, T1, T2), strain and out (3, T1, T2)."""
+    return np.einsum("ijxy,jxy->ixy", c, strain, out=out)
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> float:
-    """sum over pixels of the tensor contraction a:b of two real fields."""
-    per_component = np.einsum("xyi,xyi->i", a, b)
+    """sum over pixels of the tensor contraction a:b of two real component-major fields."""
+    per_component = np.einsum("ixy,ixy->i", a, b)
     return float(per_component[0] + per_component[1] + 2.0 * per_component[2])
 
 
 def _reference_energy(z_hat: np.ndarray, lame0: Lame) -> float:
-    """sum over pixels of z:C0:z for a real field given by its spectrum.
+    """sum over pixels of z:C0:z for a real field given by its (3, T1, T2) spectrum.
 
     With C0 isotropic, z:C0:z = lam0 (z11 + z22)^2 + 2 mu0 z:z; by Parseval
     the pixel sum is the frequency sum over T1*T2.
     """
-    trace = z_hat[..., 0] + z_hat[..., 1]
-    sq = z_hat.real**2 + z_hat.imag**2
-    total = lame0.lam * np.sum(trace.real**2 + trace.imag**2) + 2.0 * lame0.mu * (
-        np.sum(sq[..., 0]) + np.sum(sq[..., 1]) + 2.0 * np.sum(sq[..., 2])
+    sq = _sum_sq(z_hat)
+    total = lame0.lam * _sum_sq(z_hat[0] + z_hat[1]) + 2.0 * lame0.mu * (
+        sq[0] + sq[1] + 2.0 * sq[2]
     )
-    return float(total) / (z_hat.shape[0] * z_hat.shape[1])
+    return float(total) / (z_hat.shape[1] * z_hat.shape[2])
 
 
 def solve_unit_load(
@@ -159,7 +170,8 @@ def solve_unit_load(
         domain: physical cell size (L1, L2); defaults to unit pixels.
         grid, green: optional precomputed frequency grid and Green operator
             (they are reused across the three unit loads of a concentration
-            solve); must match the config scheme and reference medium.
+            solve); must match the config scheme and the field's (T1, T2),
+            else DomainError, and the reference medium.
 
     Raises:
         NonConvergenceError: the cap was reached, Tol is not finite, or the
@@ -186,10 +198,18 @@ def solve_unit_load(
     if green is None:
         lam, mu = lame_fields_from_stiffness(c_field)
         green = green_operator(grid, reference_material(lam, mu))
+    expected = ((T1, T2), (T1, T2), config.scheme, config.scheme)
+    if (grid.shape, green.g.shape[:2], grid.scheme, green.scheme) != expected:
+        raise DomainError(
+            f"grid {grid.shape} {grid.scheme} or Green operator {green.g.shape[:2]} "
+            f"{green.scheme} does not match the {(T1, T2)} field and {config.scheme} scheme"
+        )
 
-    eps = np.broadcast_to(macro, (T1, T2, 3)).copy()
-    sigma = _apply_stiffness(c_field, eps)
-    sigma_hat = np.fft.fft2(sigma, axes=(0, 1))
+    c = np.ascontiguousarray(c_field.transpose(2, 3, 0, 1))
+    eps = np.repeat(macro, T1 * T2).reshape(3, T1, T2)
+    sigma, p, cp = np.empty_like(eps), np.empty_like(eps), np.empty_like(eps)
+    p_hat = np.zeros(eps.shape, complex)
+    sigma_hat = np.fft.fft2(_apply_stiffness(c, eps, sigma))
 
     history = []
     mean_history = [] if config.record_history else None
@@ -198,7 +218,7 @@ def solve_unit_load(
 
     while True:
         if n_updates > 0:
-            tol_n = convergence_metric(sigma_hat, grid)
+            tol_n = convergence_metric(sigma_hat.transpose(1, 2, 0), grid)
             history.append(tol_n)
             if tol_n <= config.tol:
                 break
@@ -214,29 +234,31 @@ def solve_unit_load(
                     history,
                 )
 
-        z_hat = -apply_green(green.g, sigma_hat)
-        rz_new = _reference_energy(z_hat, green.lame0)
-        p_hat = z_hat if rz == 0.0 else z_hat + (rz_new / rz) * p_hat
+        # gs_hat = Gamma0 sigma_hat = -z_hat, so p = z + beta p is p_hat = beta p_hat - gs_hat.
+        gs_hat = apply_green(green.g, sigma_hat.transpose(1, 2, 0)).transpose(2, 0, 1)
+        rz_new = _reference_energy(gs_hat, green.lame0)
+        p_hat *= rz_new / rz if rz else 0.0
+        p_hat -= gs_hat
         rz = rz_new
-        p = np.fft.ifft2(p_hat, axes=(0, 1)).real
-        curvature = _contract(p, _apply_stiffness(c_field, p))
+        np.copyto(p, np.fft.ifft2(p_hat).real)
+        curvature = _contract(p, _apply_stiffness(c, p, cp))
         if curvature > 0:
-            eps += (rz / curvature) * p
+            p *= rz / curvature
+            eps += p
         elif np.abs(p).max() > 0:
             raise NonConvergenceError(
                 f"curvature <p, C:p> = {curvature:.3e} <= 0 at iteration {n_updates + 1}: "
                 "the stiffness field is not positive definite",
                 history,
             )
-        sigma = _apply_stiffness(c_field, eps)
-        sigma_hat = np.fft.fft2(sigma, axes=(0, 1))
+        sigma_hat = np.fft.fft2(_apply_stiffness(c, eps, sigma))
         n_updates += 1
         if mean_history is not None:
-            mean_history.append(eps.mean(axis=(0, 1)))
+            mean_history.append(eps.mean(axis=(1, 2)))
 
     return SolveResult(
-        strain=eps,
-        stress=sigma,
+        strain=eps.transpose(1, 2, 0),
+        stress=sigma.transpose(1, 2, 0),
         iterations=n_updates,
         residual_history=history,
         converged=True,

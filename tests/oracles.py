@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from microhom.errors import NonConvergenceError, ZeroMeanStressError
 from microhom.green import (
     apply_green,
     green_operator,
@@ -10,6 +11,7 @@ from microhom.green import (
     reference_material,
 )
 from microhom.microstructure import assign_properties
+from microhom.solver import SolveResult
 from microhom.voigt import IsotropicProps, stiffness_from_lame
 
 
@@ -43,10 +45,88 @@ def dense_fixed_point_solution(c_field, macro, scheme, domain):
     return np.linalg.solve(np.eye(n) + m, rhs).reshape(T1, T2, 3)
 
 
+def _ref_metric(stress_hat, freqs):
+    s0 = stress_hat[0, 0]
+    denom = abs(s0[0]) ** 2 + abs(s0[1]) ** 2 + 2.0 * abs(s0[2]) ** 2
+    if denom == 0.0:
+        raise ZeroMeanStressError("mean stress is zero; equilibrium index undefined")
+    r1 = freqs.xi1 * stress_hat[..., 0] + freqs.xi2 * stress_hat[..., 2]
+    r2 = freqs.xi1 * stress_hat[..., 2] + freqs.xi2 * stress_hat[..., 1]
+    num = np.sum(r1.real**2 + r1.imag**2 + r2.real**2 + r2.imag**2)
+    n_pix = stress_hat.shape[0] * stress_hat.shape[1]
+    return float(np.sqrt(num / (n_pix * denom)))
+
+
+def _ref_apply_green(g, field):
+    out = np.einsum("...ij,...j->...i", g, field)
+    out[..., 2] *= 0.5
+    return out
+
+
+def _ref_stiffness(c_field, strain):
+    return np.einsum("xyij,xyj->xyi", c_field, strain)
+
+
+def _ref_contract(a, b):
+    per_component = np.einsum("xyi,xyi->i", a, b)
+    return float(per_component[0] + per_component[1] + 2.0 * per_component[2])
+
+
+def _ref_energy(z_hat, lame0):
+    trace = z_hat[..., 0] + z_hat[..., 1]
+    sq = z_hat.real**2 + z_hat.imag**2
+    total = lame0.lam * np.sum(trace.real**2 + trace.imag**2) + 2.0 * lame0.mu * (
+        np.sum(sq[..., 0]) + np.sum(sq[..., 1]) + 2.0 * np.sum(sq[..., 2])
+    )
+    return float(total) / (z_hat.shape[0] * z_hat.shape[1])
+
+
+def cg_solve_reference(c_field, macro_strain, config, grid, green):
+    """The conjugate-gradient cell solve written component-last, one einsum
+    per tensor product over (T1, T2, 3) fields with fresh temporaries: the
+    same iteration as solver.solve_unit_load in its plainest layout."""
+    T1, T2 = c_field.shape[:2]
+    macro = np.asarray(macro_strain, dtype=float).reshape(3)
+    eps = np.broadcast_to(macro, (T1, T2, 3)).copy()
+    sigma = _ref_stiffness(c_field, eps)
+    sigma_hat = np.fft.fft2(sigma, axes=(0, 1))
+
+    history = []
+    n_updates = 0
+    rz = 0.0
+
+    while True:
+        if n_updates > 0:
+            tol_n = _ref_metric(sigma_hat, grid)
+            history.append(tol_n)
+            if tol_n <= config.tol:
+                break
+            if not np.isfinite(tol_n) or n_updates >= config.max_iter:
+                raise NonConvergenceError(f"Tol = {tol_n} after {n_updates} iterations", history)
+
+        z_hat = -_ref_apply_green(green.g, sigma_hat)
+        rz_new = _ref_energy(z_hat, green.lame0)
+        p_hat = z_hat if rz == 0.0 else z_hat + (rz_new / rz) * p_hat
+        rz = rz_new
+        p = np.fft.ifft2(p_hat, axes=(0, 1)).real
+        curvature = _ref_contract(p, _ref_stiffness(c_field, p))
+        if curvature > 0:
+            eps += (rz / curvature) * p
+        elif np.abs(p).max() > 0:
+            raise NonConvergenceError(f"curvature {curvature:.3e} <= 0", history)
+        sigma = _ref_stiffness(c_field, eps)
+        sigma_hat = np.fft.fft2(sigma, axes=(0, 1))
+        n_updates += 1
+
+    return SolveResult(eps, sigma, n_updates, history, True)
+
+
 def disc_rve(T, radius_px, contrast, center=None):
-    """Single circular inclusion of the given pixel radius and E contrast."""
-    cx, cy = center or (T // 2, T // 2 - 1)
-    yy, xx = np.mgrid[0:T, 0:T]
+    """Single circular inclusion of the given pixel radius and E contrast on
+    a T x T grid, or a T1 x T2 one for T = (T1, T2)."""
+    T1, T2 = (T, T) if np.isscalar(T) else T
+    cx, cy = center or (T2 // 2, T1 // 2 - 1)
+    yy, xx = np.mgrid[0:T1, 0:T2]
     grid = ((xx - cx) ** 2 + (yy - cy) ** 2 <= radius_px**2).astype(np.uint8)
     return assign_properties(
         grid, IsotropicProps(contrast, 0.25), IsotropicProps(1.0, 0.35)

@@ -144,6 +144,42 @@ class TestGenerateDataset:
         problems = validate_dataset(scratch)
         assert len(problems) == 1 and str(sdir) in problems[0]
 
+    def test_validate_checks_equilibrium(self, small_dataset, tmp_path):
+        # a field off equilibrium by 1e-3 that still averages to I: the mean
+        # check alone passes it
+        out, _, _ = small_dataset
+        scratch = tmp_path / "copy"
+        shutil.copytree(out, scratch)
+        sdir = scratch / "samples" / "000000"
+        a = read_array(sdir / "a_field.f64.bin")
+        noise = np.random.default_rng(0).standard_normal(a.shape)
+        write_array(sdir / "a_field.f64.bin", a + 1e-3 * (noise - noise.mean(axis=(0, 1))))
+        problems = validate_dataset(scratch)
+        assert len(problems) == 3
+        assert all(str(sdir) in p and "Tol" in p for p in problems)
+
+    def test_validate_needs_the_manifest_config(self, small_dataset, tmp_path):
+        out, _, _ = small_dataset
+        scratch = tmp_path / "copy"
+        shutil.copytree(out, scratch)
+        manifest = json.loads((scratch / "manifest.json").read_text())
+        del manifest["config"]
+        (scratch / "manifest.json").write_text(json.dumps(manifest))
+        problems = validate_dataset(scratch)
+        assert len(problems) == 1 and "config" in problems[0]
+
+    def test_validate_clean_eight_samples(self, tmp_path):
+        cfg = DatasetConfig(
+            n_samples=8,
+            n_vof_groups=4,
+            resolution=(48, 48),
+            master_seed=21,
+            solver=SolverConfig(tol=1e-6),
+            output_dir=str(tmp_path / "eight"),
+        )
+        assert len(generate_dataset(cfg)["samples"]) == 8
+        assert validate_dataset(tmp_path / "eight") == []
+
     def test_rerun_bitwise_identical(self, small_dataset, tmp_path):
         out, _, _ = small_dataset
         echo = json.loads((out / "config_echo.json").read_text())

@@ -124,6 +124,24 @@ class TestGreenOperator:
 
 
 class TestApplyGreen:
+    @pytest.mark.parametrize("layout", ["component-last", "component-major"])
+    def test_matches_einsum_formula(self, layout):
+        rng = np.random.default_rng(3)
+        grid = make_freq_grid((12, 20), (6.0, 10.0), ROTATED)
+        g = green_operator(grid, Lame(1.3, 0.7)).g
+        field = rng.standard_normal((12, 20, 3)) + 1j * rng.standard_normal((12, 20, 3))
+        want = np.einsum("...ij,...j->...i", g, field)
+        want[..., 2] *= 0.5
+        if layout == "component-last":
+            g, field = np.ascontiguousarray(g), np.ascontiguousarray(field)
+        else:
+            field = np.ascontiguousarray(field.transpose(2, 0, 1)).transpose(1, 2, 0)
+        got = apply_green(g, field)
+        assert got.shape == (12, 20, 3)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        if layout == "component-major":
+            assert got.transpose(2, 0, 1).flags.c_contiguous
+
     def test_halves_shear_component(self):
         g = np.zeros((1, 1, 3, 3))
         g[0, 0] = [[2.0, 0.0, 4.0], [0.0, 2.0, 4.0], [4.0, 4.0, 8.0]]

@@ -4,10 +4,18 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import dense_fixed_point_solution, disc_rve
+from oracles import cg_solve_reference, dense_fixed_point_solution, disc_rve
 
-from microhom.errors import NonConvergenceError, ZeroMeanStressError
-from microhom.green import CONTINUOUS, ROTATED, make_freq_grid
+from microhom import solver
+from microhom.errors import DomainError, NonConvergenceError, ZeroMeanStressError
+from microhom.green import (
+    CONTINUOUS,
+    ROTATED,
+    green_operator,
+    lame_fields_from_stiffness,
+    make_freq_grid,
+    reference_material,
+)
 from microhom.homogenization import strain_concentration
 from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.solver import SolverConfig, convergence_metric, solve_unit_load
@@ -38,6 +46,72 @@ class TestDenseOracle:
         oracle = dense_fixed_point_solution(c_field, load, scheme, (float(T),) * 2)
         rel = np.linalg.norm(res.strain - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-6
+
+
+def _operators(c_field, domain, scheme=ROTATED):
+    grid = make_freq_grid(c_field.shape[:2], domain, scheme)
+    return grid, green_operator(grid, reference_material(*lame_fields_from_stiffness(c_field)))
+
+
+class TestComponentLastReference:
+    """The component-major loop against the same iteration written over
+    component-last fields; T1 != T2 catches swapped axes."""
+
+    @pytest.mark.parametrize("shape, radius", [((24, 40), 7), ((17, 16), 4)])
+    def test_same_iterates(self, shape, radius):
+        c_field = disc_rve(shape, radius, contrast=34.0)
+        domain = (float(shape[0]), float(shape[1]))
+        grid, green = _operators(c_field, domain)
+        config = SolverConfig()
+        for load in np.eye(3):
+            res = solve_unit_load(c_field, load, config, domain=domain, grid=grid, green=green)
+            ref = cg_solve_reference(c_field, load, config, grid, green)
+            assert res.iterations == ref.iterations
+            assert_allclose(res.residual_history, ref.residual_history, rtol=1e-10)
+            for got, want in ((res.strain, ref.strain), (res.stress, ref.stress)):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestCallCounts:
+    def test_one_green_one_inverse_one_forward_fft_per_iteration(self, monkeypatch):
+        calls = {"fft2": 0, "ifft2": 0, "apply_green": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(np.fft, "fft2")
+        counted(np.fft, "ifft2")
+        counted(solver, "apply_green")
+        c_field = disc_rve(16, 4, contrast=10.0)
+        for load in np.eye(3):
+            for key in calls:
+                calls[key] = 0
+            n = solve_unit_load(c_field, load, SolverConfig()).iterations
+            assert n > 1
+            assert calls == {"fft2": n + 1, "ifft2": n, "apply_green": n}
+
+
+class TestSuppliedOperators:
+    @pytest.mark.parametrize("which", ["grid", "green"])
+    @pytest.mark.parametrize("mismatch", ["shape", "scheme"])
+    def test_mismatch_rejected(self, which, mismatch):
+        c_field = disc_rve((17, 16), 4, contrast=10.0)
+        domain = (17.0, 16.0)
+        if mismatch == "shape":  # a (1, 16) operator would broadcast against the field
+            other = _operators(c_field[:1], (1.0, 16.0))
+        else:
+            other = _operators(c_field, domain, CONTINUOUS)
+        ops = dict(zip(("grid", "green"), _operators(c_field, domain)))
+        ops[which] = dict(zip(("grid", "green"), other))[which]
+        with pytest.raises(DomainError, match="does not match"):
+            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), domain=domain, **ops)
 
 
 class TestMeanFieldAndHistory:
@@ -121,6 +195,16 @@ class TestEdges:
         stress_hat[1, 2] = [1.0, 0.5, 0.1]  # fluctuation only, no mean
         with pytest.raises(ZeroMeanStressError):
             convergence_metric(stress_hat, grid)
+
+    def test_metric_independent_of_memory_order(self):
+        # the component-last spectrum of a plain fft2 call and the
+        # component-major one of the solver give the same Tol
+        rng = np.random.default_rng(2)
+        grid = make_freq_grid((12, 20), (6.0, 10.0), ROTATED)
+        sigma = rng.standard_normal((12, 20, 3)) + [2.0, 1.0, 0.3]
+        plain = convergence_metric(np.fft.fft2(sigma, axes=(0, 1)), grid)
+        major = np.fft.fft2(np.ascontiguousarray(sigma.transpose(2, 0, 1))).transpose(1, 2, 0)
+        assert abs(convergence_metric(major, grid) - plain) <= 1e-14 * plain
 
     def test_metric_zero_for_uniform_stress(self):
         grid = make_freq_grid((8, 8), (8.0, 8.0))
