@@ -27,7 +27,6 @@ from .errors import (
     ZeroMeanStressError,
 )
 from .green import (
-    CONTINUOUS,
     ROTATED,
     FreqGrid,
     GreenField,
@@ -35,7 +34,6 @@ from .green import (
     frequency_vector,
     green_operator,
     make_freq_grid,
-    modified_frequencies,
     reference_material,
 )
 from .homogenization import (

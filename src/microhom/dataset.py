@@ -276,7 +276,7 @@ def validate_dataset(root, atol: float = 1e-8) -> list:
     file under samples/ is referenced exactly once, and that each sample
     passes read_sample with a concentration field averaging to the identity
     within atol and in equilibrium (each unit load's Tol, recomputed from the
-    stored fields on the manifest config's domain and scheme, within the
+    stored fields on the manifest config's domain, within the
     recorded tol).  Returns a list of human-readable problems (empty if clean).
     """
     root = Path(root)
@@ -332,7 +332,7 @@ def validate_dataset(root, atol: float = 1e-8) -> list:
         # Column j of A is the strain of unit load j: sigma_j = C : A e_j.
         stress = np.einsum("xyij,xyjk->xyik", assign_properties(grid, fiber, matrix), conc.a)
         stress_hat = np.fft.fft2(stress, axes=(0, 1))
-        freqs = make_freq_grid(grid.shape, cfg.domain_size, cfg.solver.scheme)
+        freqs = make_freq_grid(grid.shape, cfg.domain_size)
         tol = conc.metadata["tol"]
         for j in range(3):
             residual = convergence_metric(stress_hat[..., j], freqs)

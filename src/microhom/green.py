@@ -1,8 +1,10 @@
 """Discrete frequency grids and the periodic isotropic Green operator.
 
-The operator is assembled in Fourier space on the full FFT grid, either from
-the continuous frequency vectors or from rotated-grid modified frequencies
-(a finite-difference-consistent discretization that suppresses ringing).
+The operator is assembled in Fourier space on the full FFT grid from
+rotated-grid modified frequencies (Willot, C. R. Mecanique 343, 2015): a
+finite-difference-consistent discretization that suppresses ringing and,
+unlike the continuous frequencies of the original Moulinec-Suquet scheme,
+balances every mode of an even grid.
 
 Storage convention: the per-frequency 3x3 matrices are the symmetric Voigt
 form in which both the shear row and the shear column carry the pair factor 2.
@@ -25,20 +27,15 @@ import numpy as np
 from .errors import DegenerateMediumError, DomainError
 from .voigt import Lame
 
-CONTINUOUS = "continuous"
 ROTATED = "rotated"
-SCHEMES = (CONTINUOUS, ROTATED)
 
 
 @dataclass(frozen=True)
 class FreqGrid:
-    """Per-pixel frequency components (rad/length) of a T1 x T2 FFT grid."""
+    """Per-pixel modified frequency components (rad/length) of a T1 x T2 FFT grid."""
 
     xi1: np.ndarray
     xi2: np.ndarray
-    h1: float
-    h2: float
-    scheme: str
 
     @property
     def shape(self):
@@ -54,7 +51,6 @@ class GreenField:
 
     g: np.ndarray  # (T1, T2, 3, 3)
     lame0: Lame
-    scheme: str
 
 
 def frequency_vector(T: int, h: float) -> np.ndarray:
@@ -76,32 +72,11 @@ def frequency_vector(T: int, h: float) -> np.ndarray:
     return (2.0 * np.pi / (h * T)) * k.astype(float)
 
 
-def make_freq_grid(resolution, domain, scheme: str = CONTINUOUS) -> FreqGrid:
-    """Build the 2D frequency grid for a periodic cell.
+def make_freq_grid(resolution, domain, scheme: str = ROTATED) -> FreqGrid:
+    """Build the rotated-grid frequencies of a periodic cell.
 
-    Args:
-        resolution: (T1, T2) pixel counts.
-        domain: (L1, L2) physical cell size; pixel sizes are L_i / T_i.
-        scheme: "continuous" or "rotated".
-    """
-    T1, T2 = int(resolution[0]), int(resolution[1])
-    L1, L2 = float(domain[0]), float(domain[1])
-    h1, h2 = L1 / T1, L2 / T2
-    f1 = frequency_vector(T1, h1)
-    f2 = frequency_vector(T2, h2)
-    xi1, xi2 = np.meshgrid(f1, f2, indexing="ij")
-    grid = FreqGrid(xi1, xi2, h1, h2, CONTINUOUS)
-    if scheme == CONTINUOUS:
-        return grid
-    if scheme == ROTATED:
-        return modified_frequencies(grid)
-    raise DomainError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
-
-
-def modified_frequencies(grid: FreqGrid) -> FreqGrid:
-    """Rotated-grid modified frequencies.
-
-    With theta_i = h_i * xi_i the per-pixel phase angle,
+    With h_i = L_i / T_i the pixel sizes and theta_i = h_i * xi_i the
+    per-pixel phase angle of the frequency_vector entries,
 
         xi1~ = (2/h1) sin(theta1/2) cos(theta2/2)
         xi2~ = (2/h2) cos(theta1/2) sin(theta2/2)
@@ -109,21 +84,25 @@ def modified_frequencies(grid: FreqGrid) -> FreqGrid:
     The trig factors are built per axis so that the analytic zeros (the DC bin
     and, on even grids, the Nyquist cosine) are exact rather than ~1e-16; the
     Green operator relies on |xi~| == 0 being an exact test.
+
+    Args:
+        resolution: (T1, T2) pixel counts.
+        domain: (L1, L2) physical cell size.
+        scheme: must be "rotated", the only frequency scheme.
     """
-    if grid.scheme != CONTINUOUS:
-        raise DomainError("modified_frequencies expects a continuous-scheme grid")
-    T1, T2 = grid.shape
-    half1 = 0.5 * grid.h1 * grid.xi1[:, 0]
-    half2 = 0.5 * grid.h2 * grid.xi2[0, :]
+    if scheme != ROTATED:
+        raise DomainError(f"unknown scheme {scheme!r}, expected {ROTATED!r}")
+    T1, T2 = int(resolution[0]), int(resolution[1])
+    h1, h2 = float(domain[0]) / T1, float(domain[1]) / T2
+    half1 = 0.5 * h1 * frequency_vector(T1, h1)
+    half2 = 0.5 * h2 * frequency_vector(T2, h2)
     s1, c1 = np.sin(half1), np.cos(half1)
     s2, c2 = np.sin(half2), np.cos(half2)
     if T1 % 2 == 0:
         c1[T1 // 2] = 0.0  # cos(-pi/2), exact zero at the Nyquist bin
     if T2 % 2 == 0:
         c2[T2 // 2] = 0.0
-    xi1 = (2.0 / grid.h1) * np.outer(s1, c2)
-    xi2 = (2.0 / grid.h2) * np.outer(c1, s2)
-    return FreqGrid(xi1, xi2, grid.h1, grid.h2, ROTATED)
+    return FreqGrid((2.0 / h1) * np.outer(s1, c2), (2.0 / h2) * np.outer(c1, s2))
 
 
 def green_operator(grid: FreqGrid, lame0: Lame) -> GreenField:
@@ -142,8 +121,8 @@ def green_operator(grid: FreqGrid, lame0: Lame) -> GreenField:
     that is, G1 = 4 (u u^T + v v^T) and G2 = -w w^T for u = (x1, 0, x2),
     v = (0, x2, x1) and w = (x1^2, x2^2, 2 x1 x2), so G0 is one weighted sum of
     outer products, written straight into component-major planes.
-    Frequencies with |xi| == 0 (the DC bin, plus the Nyquist corner of a
-    rotated grid) have u = v = w = 0 and so get the zero matrix.
+    Frequencies with |xi| == 0 (the DC bin, plus the Nyquist corner of an
+    even grid) have u = v = w = 0 and so get the zero matrix.
     """
     lam0, mu0 = lame0.lam, lame0.mu
     if 2.0 * mu0 + lam0 == 0.0:
@@ -158,21 +137,7 @@ def green_operator(grid: FreqGrid, lame0: Lame) -> GreenField:
     weights = np.array([4.0 * c1 * inv, 4.0 * c1 * inv, -c2 * inv * inv])
     g = np.einsum("kxy,kixy,kjxy->ijxy", weights, uvw, uvw)
 
-    if grid.scheme == CONTINUOUS:
-        # Unpaired Nyquist lines of an even grid alias +pi and -pi; a real
-        # field cannot distinguish them, so the operator there must be the
-        # average over the two aliases.  The shear-coupling entries are odd
-        # in each frequency component and cancel in that average; the rotated
-        # scheme needs nothing because its modified frequencies already
-        # vanish on those lines.
-        T1, T2 = grid.shape
-        for axis, T in ((0, T1), (1, T2)):
-            if T % 2 == 0:
-                sl = [slice(None), slice(None)]
-                sl[axis] = T // 2
-                for i, j in ((0, 2), (1, 2), (2, 0), (2, 1)):
-                    g[(i, j) + tuple(sl)] = 0.0
-    return GreenField(g.transpose(2, 3, 0, 1), lame0, grid.scheme)
+    return GreenField(g.transpose(2, 3, 0, 1), lame0)
 
 
 def apply_green(g: np.ndarray, field: np.ndarray) -> np.ndarray:

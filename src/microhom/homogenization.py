@@ -68,7 +68,7 @@ def strain_concentration(
     T1, T2 = c_field.shape[:2]
     if domain is None:
         domain = (float(T1), float(T2))
-    grid = make_freq_grid((T1, T2), domain, config.scheme)
+    grid = make_freq_grid((T1, T2), domain)
     lam, mu = lame_fields_from_stiffness(c_field)
     green = green_operator(grid, reference_material(lam, mu))
 
@@ -96,7 +96,6 @@ def strain_concentration(
             "loads": loads,
             "tol": config.tol,
             "asymmetry_threshold": asymmetry_threshold(config.tol),
-            "scheme": config.scheme,
             "lame0": (green.lame0.lam, green.lame0.mu),
         },
     )

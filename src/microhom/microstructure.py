@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InstabilityError, PackingError
-from .green import make_freq_grid
+from .green import frequency_vector
 from .voigt import IsotropicProps, stiffness_from_enu
 
 
@@ -220,8 +220,10 @@ def generate_spinodal_rve(
     c = 0.5 + params.initial_noise_amplitude * rng.uniform(-1.0, 1.0, (T1, T2))
     _check_range(c, 0)
 
-    fgrid = make_freq_grid((T1, T2), domain)
-    ksq = fgrid.xi1**2 + fgrid.xi2**2
+    # the exact Laplacian symbol |k|^2, not the solver's rotated-grid frequencies
+    xi1 = frequency_vector(T1, float(domain[0]) / T1)
+    xi2 = frequency_vector(T2, float(domain[1]) / T2)
+    ksq = xi1[:, None] ** 2 + xi2[None, :] ** 2
     kappa = params.interface_width**2
     denom = 1.0 + params.dt * params.mobility * kappa * ksq * ksq
 

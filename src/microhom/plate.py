@@ -32,7 +32,12 @@ from .arrayio import write_array
 from .config import resolve
 from .dataset import DatasetConfig, read_sample, sample_seed, stratify_vof, write_sample
 from .errors import DomainError, MeshError, NonConvergenceError
-from .homogenization import ConcentrationField, homogenized_stiffness, strain_concentration
+from .homogenization import (
+    ConcentrationField,
+    homogenized_stiffness,
+    reconstruct_strain,
+    strain_concentration,
+)
 from .microstructure import assign_properties, generate_fiber_rve
 from .solver import SolverConfig
 from .voigt import IsotropicProps
@@ -295,8 +300,7 @@ def solve_plate(
 
 def recover_micro(a_field: np.ndarray, c_field: np.ndarray, macro_strain):
     """Micro fields of one element: eps(x) = A(x):eps_M, sigma(x) = C(x):eps(x)."""
-    macro = np.asarray(macro_strain, dtype=float).reshape(3)
-    eps = np.einsum("xyij,j->xyi", np.asarray(a_field), macro)
+    eps = reconstruct_strain(a_field, macro_strain)
     sig = np.einsum("xyij,xyj->xyi", np.asarray(c_field), eps)
     return eps, sig
 
@@ -393,14 +397,14 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
     cfg = resolve(_MULTISCALE_DEFAULTS, raw_config)
     if cfg["workers"] < 1:
         raise DomainError(f"workers must be >= 1, got {cfg['workers']}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config_echo.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
-
     mesh = rect_plate_mesh(cfg["nx"], cfg["ny"], *cfg["elem_size"])
     n_el = len(mesh.elems)
     micro = cfg["micro"]
     solver = SolverConfig(**micro["solver"])
+    grf_fiber, grf_matrix = GRFConfig(**cfg["grf_fiber"]), GRFConfig(**cfg["grf_matrix"])
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config_echo.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
 
     if cfg["a_field_dir"]:
         micro_dir = Path(cfg["a_field_dir"])
@@ -417,8 +421,8 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
             c_field = assign_properties(grid, fiber, matrix)
             tangents.append(homogenized_stiffness(c_field, conc, symmetrize=False)[0])
     else:
-        ef_field = kl_field(mesh, GRFConfig(**cfg["grf_fiber"]))
-        em_field = kl_field(mesh, GRFConfig(**cfg["grf_matrix"]))
+        ef_field = kl_field(mesh, grf_fiber)
+        em_field = kl_field(mesh, grf_matrix)
         vofs = stratify_vof(n_el, micro["vof_range"], micro["n_vof_groups"])
         vofs = np.random.default_rng(cfg["seed"]).permutation(vofs)
 

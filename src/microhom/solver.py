@@ -34,11 +34,12 @@ contiguous planes, and the loop updates preallocated p, C:p, sigma and p_hat
 in place.  Sums reduce per plane with einsum, not BLAS, whose split of a sum
 follows the thread count.  Public (T1, T2, 3) shapes are transposed views.
 
-The rotated scheme (default) balances every mode of an even grid and reaches
-arbitrarily tight tolerances; the continuous scheme does the same on odd
-grids but on even grids stalls at a floor set by the unpaired Nyquist lines,
-whose one-sided frequencies no real stress field can balance (a 16^2 disc
-cell of contrast 10 stalls near Tol 2e-4).
+The Green operator and Tol use rotated-grid frequencies, which balance every
+mode of an even or odd grid, so any tolerance is reachable.  The continuous
+frequencies of the original Moulinec-Suquet scheme are not offered: on even
+grids they stall at a floor set by the unpaired Nyquist lines, whose
+one-sided frequencies no real stress field can balance (a 16^2 disc cell of
+contrast 10 stalls near Tol 2e-4).
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ import numpy as np
 from .errors import DomainError, NonConvergenceError, ZeroMeanStressError
 from .green import (
     ROTATED,
-    SCHEMES,
     FreqGrid,
     GreenField,
     apply_green,
@@ -68,9 +68,9 @@ class SolverConfig:
     """Settings of the conjugate-gradient cell solve.
 
     tol is the target of the equilibrium index Tol (convergence_metric);
-    max_iter caps the iterations (one Green application each); scheme picks
-    the frequency grid of the Green operator; record_history keeps the mean
-    strain of every iterate.
+    max_iter caps the iterations (one Green application each); scheme names
+    the frequency grid of the Green operator and must be "rotated", the only
+    one; record_history keeps the mean strain of every iterate.
     """
 
     tol: float = 1e-6
@@ -83,8 +83,8 @@ class SolverConfig:
             raise DomainError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.scheme not in SCHEMES:
-            raise DomainError(f"unknown scheme {self.scheme!r}")
+        if self.scheme != ROTATED:
+            raise DomainError(f"unknown scheme {self.scheme!r}, expected {ROTATED!r}")
 
 
 @dataclass
@@ -107,9 +107,9 @@ def convergence_metric(stress_hat: np.ndarray, freqs: FreqGrid) -> float:
 
     where xi . sigma_hat is the two-component balance residual
     (xi1*s11 + xi2*s12, xi1*s12 + xi2*s22) and the denominator contracts the
-    zero-frequency stress with itself.  The frequencies are taken from the
-    grid as stored, so a rotated grid measures balance in its own
-    finite-difference sense.  stress_hat is (T1, T2, 3), in any memory order.
+    zero-frequency stress with itself.  The grid's rotated-grid frequencies
+    measure balance in their own finite-difference sense.  stress_hat is
+    (T1, T2, 3), in any memory order.
     """
     s = stress_hat.transpose(2, 0, 1)
     s0 = stress_hat[0, 0]
@@ -170,8 +170,8 @@ def solve_unit_load(
         domain: physical cell size (L1, L2); defaults to unit pixels.
         grid, green: optional precomputed frequency grid and Green operator
             (they are reused across the three unit loads of a concentration
-            solve); must match the config scheme and the field's (T1, T2),
-            else DomainError, and the reference medium.
+            solve); must match the field's (T1, T2), else DomainError, and
+            the reference medium.
 
     Raises:
         NonConvergenceError: the cap was reached, Tol is not finite, or the
@@ -194,15 +194,14 @@ def solve_unit_load(
     if domain is None:
         domain = (float(T1), float(T2))
     if grid is None:
-        grid = make_freq_grid((T1, T2), domain, config.scheme)
+        grid = make_freq_grid((T1, T2), domain)
     if green is None:
         lam, mu = lame_fields_from_stiffness(c_field)
         green = green_operator(grid, reference_material(lam, mu))
-    expected = ((T1, T2), (T1, T2), config.scheme, config.scheme)
-    if (grid.shape, green.g.shape[:2], grid.scheme, green.scheme) != expected:
+    if grid.shape != (T1, T2) or green.g.shape[:2] != (T1, T2):
         raise DomainError(
-            f"grid {grid.shape} {grid.scheme} or Green operator {green.g.shape[:2]} "
-            f"{green.scheme} does not match the {(T1, T2)} field and {config.scheme} scheme"
+            f"grid {grid.shape} or Green operator {green.g.shape[:2]} "
+            f"does not match the {(T1, T2)} field"
         )
 
     c = np.ascontiguousarray(c_field.transpose(2, 3, 0, 1))
@@ -263,5 +262,5 @@ def solve_unit_load(
         residual_history=history,
         converged=True,
         mean_strain_history=None if mean_history is None else np.array(mean_history),
-        metadata={"lame0": (green.lame0.lam, green.lame0.mu), "scheme": grid.scheme},
+        metadata={"lame0": (green.lame0.lam, green.lame0.mu)},
     )

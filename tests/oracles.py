@@ -15,7 +15,7 @@ from microhom.solver import SolveResult
 from microhom.voigt import IsotropicProps, stiffness_from_lame
 
 
-def dense_fixed_point_solution(c_field, macro, scheme, domain):
+def dense_fixed_point_solution(c_field, macro, domain):
     """Direct solve of the fixed-point map as one dense linear system.
 
     Assembles eps = ebar - F^-1 G F (C - C0) eps over all T1*T2*3 unknowns by
@@ -24,7 +24,7 @@ def dense_fixed_point_solution(c_field, macro, scheme, domain):
     """
     T1, T2 = c_field.shape[:2]
     n = T1 * T2 * 3
-    grid = make_freq_grid((T1, T2), domain, scheme)
+    grid = make_freq_grid((T1, T2), domain)
     lam, mu = lame_fields_from_stiffness(c_field)
     green = green_operator(grid, reference_material(lam, mu))
     dc = c_field - stiffness_from_lame(green.lame0)
@@ -119,6 +119,25 @@ def cg_solve_reference(c_field, macro_strain, config, grid, green):
         n_updates += 1
 
     return SolveResult(eps, sigma, n_updates, history, True)
+
+
+def spinodal_labels_reference(params, domain, resolution, seed):
+    """Phase labels of the semi-implicit spinodal evolution, with the spectral
+    Laplacian's wavenumbers taken from np.fft.fftfreq rather than green.py."""
+    T1, T2 = resolution
+    rng = np.random.default_rng(seed)
+    c = 0.5 + params.initial_noise_amplitude * rng.uniform(-1.0, 1.0, (T1, T2))
+    k1 = 2.0 * np.pi * np.fft.fftfreq(T1, d=domain[0] / T1)
+    k2 = 2.0 * np.pi * np.fft.fftfreq(T2, d=domain[1] / T2)
+    ksq = k1[:, None] ** 2 + k2[None, :] ** 2
+    rate = params.dt * params.mobility
+    denom = 1.0 + rate * params.interface_width**2 * ksq**2
+    c_hat = np.fft.fft2(c)
+    for _ in range(params.steps):
+        c = np.fft.ifft2(c_hat).real
+        c_hat = (c_hat - rate * ksq * np.fft.fft2(2.0 * c * (1.0 - c) * (1.0 - 2.0 * c))) / denom
+    c = np.fft.ifft2(c_hat).real
+    return np.where(c > params.threshold, 0, 1).astype(np.uint8)
 
 
 def disc_rve(T, radius_px, contrast, center=None):

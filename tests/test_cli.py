@@ -79,6 +79,12 @@ class TestUsageErrors:
         assert dispatch(argv) == 2
         assert not (out / "config_echo.json").exists()
 
+    @pytest.mark.parametrize("override", ["micro.solver.tol=-1", "nx=0", "grf_fiber.std=-1"])
+    def test_invalid_multiscale_value_exits_1_before_echo(self, tmp_path, override):
+        out = tmp_path / "o"
+        assert dispatch(["multiscale", "--set", override, "--out", str(out)]) == 1
+        assert not (out / "config_echo.json").exists()
+
     @pytest.mark.parametrize("command", ["gen-rve", "solve", "homogenize"])
     def test_threads_only_on_pooled_commands(self, command):
         with pytest.raises(SystemExit) as exc:

@@ -6,13 +6,12 @@ from numpy.testing import assert_allclose
 
 from microhom.errors import DegenerateMediumError, DomainError
 from microhom.green import (
-    CONTINUOUS,
     ROTATED,
+    FreqGrid,
     apply_green,
     frequency_vector,
     green_operator,
     make_freq_grid,
-    modified_frequencies,
     reference_material,
 )
 from microhom.voigt import Lame
@@ -42,57 +41,50 @@ class TestFrequencyVector:
 class TestModifiedFrequencies:
     def test_zero_frequency(self):
         grid = make_freq_grid((8, 8), (8.0, 8.0))
-        mod = modified_frequencies(grid)
-        assert mod.xi1[0, 0] == 0.0
-        assert mod.xi2[0, 0] == 0.0
+        assert grid.xi1[0, 0] == 0.0
+        assert grid.xi2[0, 0] == 0.0
 
     def test_half_phase(self):
         # theta = (pi, 0): xi1~ = (2/h1) sin(pi/2) cos(0) = 2/h1
         h = 0.25
         grid = make_freq_grid((4, 4), (4 * h, 4 * h))
-        mod = modified_frequencies(grid)
         nyq = 2  # bin holding theta1 = -pi; sin(-pi/2)cos(0) = -1
-        assert_allclose(mod.xi1[nyq, 0], -2.0 / h, rtol=1e-12)
-        assert_allclose(mod.xi2[nyq, 0], 0.0, atol=1e-15)
+        assert_allclose(grid.xi1[nyq, 0], -2.0 / h, rtol=1e-12)
+        assert_allclose(grid.xi2[nyq, 0], 0.0, atol=1e-15)
 
     def test_small_angle_limit(self):
         # first-order agreement with the continuous frequencies at the four
         # lowest nonzero bins of a 64x64 grid
         grid = make_freq_grid((64, 64), (64.0, 64.0))
-        mod = modified_frequencies(grid)
-        for idx in [(1, 0), (0, 1), (63, 0), (0, 63)]:
-            xi = np.array([grid.xi1[idx], grid.xi2[idx]])
-            xim = np.array([mod.xi1[idx], mod.xi2[idx]])
-            assert_allclose(xim, xi, rtol=2e-3)
+        f = frequency_vector(64, 1.0)
+        for i, j in [(1, 0), (0, 1), (63, 0), (0, 63)]:
+            xim = np.array([grid.xi1[i, j], grid.xi2[i, j]])
+            assert_allclose(xim, [f[i], f[j]], rtol=2e-3, atol=1e-15)
 
     def test_nyquist_corner_exact_zero(self):
         grid = make_freq_grid((8, 6), (8.0, 6.0))
-        mod = modified_frequencies(grid)
-        assert mod.xi1[4, 3] == 0.0
-        assert mod.xi2[4, 3] == 0.0
+        assert grid.xi1[4, 3] == 0.0
+        assert grid.xi2[4, 3] == 0.0
 
-    def test_requires_continuous_input(self):
-        mod = make_freq_grid((8, 8), (8.0, 8.0), ROTATED)
-        with pytest.raises(DomainError):
-            modified_frequencies(mod)
+    def test_rejects_continuous_scheme(self):
+        with pytest.raises(DomainError, match="unknown scheme"):
+            make_freq_grid((8, 8), (8.0, 8.0), "continuous")
+        assert make_freq_grid((8, 8), (8.0, 8.0), ROTATED).shape == (8, 8)
 
 
 class TestGreenOperator:
     def test_zero_bin_is_zero_matrix(self):
-        for scheme in (CONTINUOUS, ROTATED):
-            grid = make_freq_grid((8, 8), (8.0, 8.0), scheme)
-            gf = green_operator(grid, Lame(1.3, 0.7))
-            assert np.all(gf.g[0, 0] == 0.0)
+        grid = make_freq_grid((8, 8), (8.0, 8.0))
+        gf = green_operator(grid, Lame(1.3, 0.7))
+        assert np.all(gf.g[0, 0] == 0.0)
 
     def test_unit_axis_frequency(self):
         # xi = (1, 0) with lam0 = 0, mu0 = 0.5:
         # G1 = [[4,0,0],[0,0,0],[0,0,4]], G2 = -[[1,0,0],[0,0,0],[0,0,0]]
         # G = 0.5*G1 + 1*G2 = [[1,0,0],[0,0,0],[0,0,2]]
-        h = 2 * np.pi / 4
-        grid = make_freq_grid((4, 4), (4 * h, 4 * h))
-        assert grid.xi1[1, 0] == 1.0
+        grid = FreqGrid(np.array([[1.0]]), np.array([[0.0]]))
         gf = green_operator(grid, Lame(0.0, 0.5))
-        assert_allclose(gf.g[1, 0], [[1, 0, 0], [0, 0, 0], [0, 0, 2]], atol=1e-14)
+        assert_allclose(gf.g[0, 0], [[1, 0, 0], [0, 0, 0], [0, 0, 2]], atol=1e-14)
 
     def test_symmetry_every_frequency(self):
         grid = make_freq_grid((16, 16), (3.0, 5.0))
@@ -108,12 +100,12 @@ class TestGreenOperator:
 
     def test_real_field_stays_real(self):
         rng = np.random.default_rng(5)
-        field = rng.standard_normal((16, 16, 3))
-        for scheme in (CONTINUOUS, ROTATED):
-            grid = make_freq_grid((16, 16), (16.0, 16.0), scheme)
+        field = rng.standard_normal((17, 16, 3))
+        for T in (16, 17):
+            grid = make_freq_grid((T, 16), (float(T), 16.0))
             gf = green_operator(grid, Lame(1.0, 2.0))
             out = np.fft.ifft2(
-                apply_green(gf.g, np.fft.fft2(field, axes=(0, 1))), axes=(0, 1)
+                apply_green(gf.g, np.fft.fft2(field[:T], axes=(0, 1))), axes=(0, 1)
             )
             assert np.abs(out.imag).max() <= 1e-10 * np.abs(out.real).max()
 
@@ -127,7 +119,7 @@ class TestApplyGreen:
     @pytest.mark.parametrize("layout", ["component-last", "component-major"])
     def test_matches_einsum_formula(self, layout):
         rng = np.random.default_rng(3)
-        grid = make_freq_grid((12, 20), (6.0, 10.0), ROTATED)
+        grid = make_freq_grid((12, 20), (6.0, 10.0))
         g = green_operator(grid, Lame(1.3, 0.7)).g
         field = rng.standard_normal((12, 20, 3)) + 1j * rng.standard_normal((12, 20, 3))
         want = np.einsum("...ij,...j->...i", g, field)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import spinodal_labels_reference
+
 from microhom.errors import DomainError, InstabilityError
 from microhom.microstructure import (
     Microstructure,
@@ -99,6 +101,16 @@ class TestSpinodal:
         c0 = 0.5 + p.initial_noise_amplitude * rng.uniform(-1.0, 1.0, (128, 128))
         drift = abs(rve.metadata["mean_concentration"] - c0.mean())
         assert drift <= 1e-10
+
+    @pytest.mark.parametrize("steps, shape", [(60, (64, 48)), (200, (64, 64)), (500, (48, 48))])
+    def test_matches_fftfreq_reference(self, steps, shape):
+        # pins the spectral Laplacian to the continuous wavenumbers |k|^2; a
+        # finite-difference symbol would relabel about a third of the pixels
+        p = SpinodalParams(steps=steps)
+        rve = generate_spinodal_rve(p, DOMAIN, shape, seed=4)
+        want = spinodal_labels_reference(p, DOMAIN, shape, seed=4)
+        assert rve.grid.shape == shape
+        assert np.count_nonzero(rve.grid != want) == 0
 
     def test_phase_fractions(self):
         for seed in (1, 2, 3):

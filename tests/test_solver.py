@@ -9,8 +9,6 @@ from oracles import cg_solve_reference, dense_fixed_point_solution, disc_rve
 from microhom import solver
 from microhom.errors import DomainError, NonConvergenceError, ZeroMeanStressError
 from microhom.green import (
-    CONTINUOUS,
-    ROTATED,
     green_operator,
     lame_fields_from_stiffness,
     make_freq_grid,
@@ -34,22 +32,19 @@ class TestHomogeneous:
 
 
 class TestDenseOracle:
-    @pytest.mark.parametrize("scheme", [CONTINUOUS, ROTATED])
+    @pytest.mark.parametrize("T", [16, 17], ids=["rotated", "odd"])
     @pytest.mark.parametrize("load", [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    def test_16px_inclusion(self, scheme, load):
-        # the continuous scheme needs an odd grid for tight tolerances
-        T = 17 if scheme == CONTINUOUS else 16
+    def test_16px_inclusion(self, T, load):
+        # an even grid and an odd one, whose frequencies have no Nyquist bin
         c_field = disc_rve(T, 4, contrast=10.0)
-        res = solve_unit_load(
-            c_field, load, SolverConfig(scheme=scheme, tol=1e-10), domain=(float(T),) * 2
-        )
-        oracle = dense_fixed_point_solution(c_field, load, scheme, (float(T),) * 2)
+        res = solve_unit_load(c_field, load, SolverConfig(tol=1e-10), domain=(float(T),) * 2)
+        oracle = dense_fixed_point_solution(c_field, load, (float(T),) * 2)
         rel = np.linalg.norm(res.strain - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-6
 
 
-def _operators(c_field, domain, scheme=ROTATED):
-    grid = make_freq_grid(c_field.shape[:2], domain, scheme)
+def _operators(c_field, domain):
+    grid = make_freq_grid(c_field.shape[:2], domain)
     return grid, green_operator(grid, reference_material(*lame_fields_from_stiffness(c_field)))
 
 
@@ -100,18 +95,25 @@ class TestCallCounts:
 
 class TestSuppliedOperators:
     @pytest.mark.parametrize("which", ["grid", "green"])
-    @pytest.mark.parametrize("mismatch", ["shape", "scheme"])
-    def test_mismatch_rejected(self, which, mismatch):
+    @pytest.mark.parametrize(
+        "other_shape",
+        # a (1, 16) operator would broadcast against the 17x16 field
+        [pytest.param((1, 16), id="shape"), pytest.param((16, 17), id="transposed")],
+    )
+    def test_mismatch_rejected(self, which, other_shape):
         c_field = disc_rve((17, 16), 4, contrast=10.0)
         domain = (17.0, 16.0)
-        if mismatch == "shape":  # a (1, 16) operator would broadcast against the field
-            other = _operators(c_field[:1], (1.0, 16.0))
-        else:
-            other = _operators(c_field, domain, CONTINUOUS)
+        other = _operators(disc_rve(other_shape, 4, contrast=10.0), tuple(map(float, other_shape)))
         ops = dict(zip(("grid", "green"), _operators(c_field, domain)))
         ops[which] = dict(zip(("grid", "green"), other))[which]
         with pytest.raises(DomainError, match="does not match"):
             solve_unit_load(c_field, [1, 0, 0], SolverConfig(), domain=domain, **ops)
+
+
+def test_only_the_rotated_scheme_is_accepted():
+    with pytest.raises(DomainError, match="unknown scheme"):
+        SolverConfig(scheme="continuous")
+    assert SolverConfig(scheme="rotated").scheme == "rotated"
 
 
 class TestMeanFieldAndHistory:
@@ -200,7 +202,7 @@ class TestEdges:
         # the component-last spectrum of a plain fft2 call and the
         # component-major one of the solver give the same Tol
         rng = np.random.default_rng(2)
-        grid = make_freq_grid((12, 20), (6.0, 10.0), ROTATED)
+        grid = make_freq_grid((12, 20), (6.0, 10.0))
         sigma = rng.standard_normal((12, 20, 3)) + [2.0, 1.0, 0.3]
         plain = convergence_metric(np.fft.fft2(sigma, axes=(0, 1)), grid)
         major = np.fft.fft2(np.ascontiguousarray(sigma.transpose(2, 0, 1))).transpose(1, 2, 0)
