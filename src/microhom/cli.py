@@ -89,12 +89,14 @@ def _write_summary(out: Path, summary: dict, summary_path=None):
 
 
 _PROPS = {"E": None, "nu": None}
+_CELL = dataset_mod.DatasetConfig()  # the fiber cell's packing defaults
 _SOLVER = asdict(SolverConfig())
 _RVE_KINDS = ("file", "uniform", "fiber", "spinodal")
 _RVE_DEFAULTS = {
     "file": None,
     "uniform": None,
-    "fiber": {"vof": 0.5, "r_mean": 3.5, "r_std_frac": 0.01, "seed": 0, "gap_frac": 0.1},
+    "fiber": {"vof": 0.5, "r_mean": _CELL.r_mean, "r_std_frac": _CELL.r_std_frac,
+              "seed": 0, "gap_frac": _CELL.gap_frac},
     "spinodal": {**asdict(SpinodalParams()), "seed": 0},
     "resolution": [128, 128],
 }
@@ -238,10 +240,12 @@ def _cmd_homogenize(args) -> int:
 
 
 def _workers(args, cfg: dict) -> int:
-    """--threads wins, then the config, then the available parallelism."""
-    if args.threads:
+    """--threads wins, then the config, then the available parallelism; a
+    given 0 is passed on, to be rejected, not replaced."""
+    if args.threads is not None:
         return args.threads
-    return cfg.get("workers") or os.cpu_count() or 1
+    workers = cfg.get("workers")
+    return workers if workers is not None else os.cpu_count() or 1
 
 
 def _cmd_dataset(args) -> int:
@@ -249,9 +253,10 @@ def _cmd_dataset(args) -> int:
     if args.out:
         cfg["output_dir"] = args.out
     cfg["workers"] = _workers(args, cfg)
-    manifest = dataset_mod.generate_dataset(dataset_mod.config_from_dict(cfg))
+    dcfg = dataset_mod.config_from_dict(cfg)
+    manifest = dataset_mod.generate_dataset(dcfg)
     summary = {
-        "output_dir": cfg.get("output_dir", "dataset_out"),
+        "output_dir": dcfg.output_dir,
         "n_requested": manifest["n_requested"],
         "n_generated": len(manifest["samples"]),
         "n_failed": len(manifest["failures"]),

@@ -213,9 +213,12 @@ def generate_spinodal_rve(
     exceeds the threshold and 1 (hard) otherwise.
 
     Raises:
+        DomainError: a resolution axis below 1 pixel.
         InstabilityError: the concentration left [-0.5, 1.5].
     """
     T1, T2 = int(resolution[0]), int(resolution[1])
+    if min(T1, T2) < 1:
+        raise DomainError(f"resolution must be >= 1 per axis, got {resolution}")
     rng = np.random.default_rng(seed)
     c = 0.5 + params.initial_noise_amplitude * rng.uniform(-1.0, 1.0, (T1, T2))
     _check_range(c, 0)

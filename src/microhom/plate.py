@@ -1,10 +1,14 @@
 """Concurrent multiscale plate analysis.
 
 A macroscale plane-strain quadrilateral mesh (one periodic micro cell per
-element, single-point integration with perturbation hourglass control) is
-driven through displacement steps by a Newton loop; each element's tangent
-comes from homogenizing its micro cell once up front, and micro fields are
-recovered on demand from the stored concentration tensors.
+element) is driven through displacement steps by a Newton loop; each
+element's tangent comes from homogenizing its micro cell once up front, and
+micro fields are recovered on demand from the stored concentration tensors.
+
+There is one macro element: the bilinear quadrilateral integrated at its
+center, with perturbation hourglass control (Flanagan & Belytschko, IJNME 17,
+1981).  Its hourglass coefficient and the Newton iteration cap are module
+constants.
 
 Element kernels are batched (one array pass over all elements, no loop),
 and the SPD free-DOF stiffness is factored once in SuperLU's symmetric mode.
@@ -43,6 +47,8 @@ from .solver import SolverConfig
 from .voigt import IsotropicProps
 
 _HOURGLASS_MODE = np.array([1.0, -1.0, 1.0, -1.0])
+_HOURGLASS_COEF = 0.005  # fraction of the element stiffness scale
+_NEWTON_CAP = 30
 _CORNERS = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])  # rows xi_a, eta_a
 
 
@@ -108,7 +114,6 @@ class MacroState:
     displacement: np.ndarray  # (2*N,)
     strain_m: np.ndarray  # (E, 3) tensorial
     stress_m: np.ndarray  # (E, 3)
-    tangents: np.ndarray  # (E, 3, 3), shared across steps
     f_int: np.ndarray
     residual_norm: float
     reaction: float
@@ -137,11 +142,11 @@ def rect_plate_mesh(nx: int, ny: int, elem_w: float, elem_h: float) -> MacroMesh
     return MacroMesh(nodes, elems, np.sort(dof_fixed), np.sort(dof_loaded))
 
 
-def _kinematics(coords: np.ndarray, xi: float = 0.0, eta: float = 0.0):
-    """At one parent point, coords (E, 4, 2) give every element's B matrix
+def _kinematics(coords: np.ndarray):
+    """At the element center, coords (E, 4, 2) give every element's B matrix
     (E, 3, 8; rows e11, e22, gamma12), Jacobian determinant (E,) and shape
     gradients dndx (E, 2, 4; rows d/dx, d/dy)."""
-    grad = 0.25 * _CORNERS * (1.0 + _CORNERS[::-1] * [[eta], [xi]])  # rows d/dxi, d/deta
+    grad = 0.25 * _CORNERS  # rows d/dxi, d/deta
     jac = np.einsum("ka,eaj->ekj", grad, coords)
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
     bad = np.flatnonzero(~(det > 0))
@@ -154,32 +159,16 @@ def _kinematics(coords: np.ndarray, xi: float = 0.0, eta: float = 0.0):
     return b, det, dndx
 
 
-def element_stiffness(
-    coords: np.ndarray,
-    c_storage: np.ndarray,
-    hourglass_coef: float = 0.005,
-    integration: str = "reduced",
-) -> np.ndarray:
+def element_stiffness(coords: np.ndarray, c_storage: np.ndarray) -> np.ndarray:
     """Stiffness of every element: coords (E, 4, 2) and storage-convention
     tangents (E, 3, 3) give (E, 8, 8).
 
-    Reduced integration samples the center only and adds perturbation
-    hourglass stiffness along the two zero-energy modes; full 2x2 integration
-    is available for verification runs and needs no stabilization.
+    The center sample alone leaves two zero-energy hourglass modes; a
+    perturbation stiffness of _HOURGLASS_COEF times the element's stiffness
+    scale restrains them.
     """
     c_eng = np.array(c_storage, dtype=float)
     c_eng[..., 2] *= 0.5  # engineering shear column, contracts with (e11, e22, gamma12)
-    if integration == "full":
-        gp = 1.0 / np.sqrt(3.0)
-        k = 0.0
-        for xi in (-gp, gp):
-            for eta in (-gp, gp):
-                b, det, _ = _kinematics(coords, xi, eta)
-                k = k + det[:, None, None] * np.einsum("eia,eij,ejb->eab", b, c_eng, b)
-        return 0.5 * (k + k.transpose(0, 2, 1))
-    if integration != "reduced":
-        raise DomainError(f"unknown integration {integration!r}")
-
     b, det, dndx = _kinematics(coords)
     area = 4.0 * det
     k = area[:, None, None] * np.einsum("eia,eij,ejb->eab", b, c_eng, b)
@@ -191,7 +180,7 @@ def element_stiffness(
         - (coords[:, :, 0] @ _HOURGLASS_MODE)[:, None] * dndx[:, 0]
         - (coords[:, :, 1] @ _HOURGLASS_MODE)[:, None] * dndx[:, 1]
     )
-    k_hg = (hourglass_coef * (np.trace(c_eng, axis1=1, axis2=2) / 3.0) * area
+    k_hg = (_HOURGLASS_COEF * (np.trace(c_eng, axis1=1, axis2=2) / 3.0) * area
             * (dndx**2).sum(axis=(1, 2)))
     hg_block = k_hg[:, None, None] * gamma[:, :, None] * gamma[:, None, :]
     k[:, 0::2, 0::2] += hg_block
@@ -199,14 +188,9 @@ def element_stiffness(
     return 0.5 * (k + k.transpose(0, 2, 1))
 
 
-def assemble_stiffness(
-    mesh: MacroMesh,
-    tangents: np.ndarray,
-    hourglass_coef: float = 0.005,
-    integration: str = "reduced",
-) -> scipy.sparse.csr_matrix:
+def assemble_stiffness(mesh: MacroMesh, tangents: np.ndarray) -> scipy.sparse.csr_matrix:
     """Global stiffness from per-element tangents (storage convention)."""
-    ke = element_stiffness(mesh.nodes[mesh.elems], tangents, hourglass_coef, integration)
+    ke = element_stiffness(mesh.nodes[mesh.elems], tangents)
     dofs = mesh.elem_dofs
     n = mesh.n_dofs
     return scipy.sparse.csr_matrix(
@@ -229,15 +213,13 @@ def solve_plate(
     load_steps: int,
     s_total: float,
     newton_tol: float = 1e-7,
-    newton_cap: int = 30,
-    hourglass_coef: float = 0.005,
-    integration: str = "reduced",
 ) -> list:
     """Displacement-driven quasi-static analysis.
 
     The total edge displacement is divided linearly over the load steps; each
     step runs a Newton loop (assemble residual, solve on the free DOFs,
-    update) until the free-DOF residual norm drops below newton_tol.  The
+    update) until the free-DOF residual norm drops below newton_tol, and
+    raises NonConvergenceError after _NEWTON_CAP iterations.  The
     reaction is the internal-force sum over the loaded DOFs.  The free-DOF
     stiffness, assembled from the batched element kernels, is SPD: it is
     factored once in SuperLU's symmetric mode (minimum degree on A^T + A) and
@@ -246,7 +228,7 @@ def solve_plate(
     tangents = np.asarray(tangents, dtype=float)
     if tangents.shape != (len(mesh.elems), 3, 3):
         raise DomainError(f"need one 3x3 tangent per element, got {tangents.shape}")
-    k_global = assemble_stiffness(mesh, tangents, hourglass_coef, integration)
+    k_global = assemble_stiffness(mesh, tangents)
     free = mesh.dof_free
     if free.size == 0:
         raise DomainError("no free DOFs: the mesh is fully prescribed")
@@ -272,7 +254,7 @@ def solve_plate(
             r_norm = float(np.linalg.norm(residual[free]))
             if iters > 0 and r_norm <= newton_tol:
                 break
-            if iters >= newton_cap:
+            if iters >= _NEWTON_CAP:
                 raise NonConvergenceError(
                     f"Newton stalled at step {step}: |R| = {r_norm:.3e}", [r_norm]
                 )
@@ -288,7 +270,6 @@ def solve_plate(
                 displacement=s.copy(),
                 strain_m=strain_m,
                 stress_m=stress_m,
-                tangents=tangents,
                 f_int=f_int.copy(),
                 residual_norm=r_norm,
                 reaction=float(f_int[mesh.dof_loaded].sum()),
@@ -372,8 +353,6 @@ _MULTISCALE_DEFAULTS = {
     "s_total": 0.0375,
     "load_steps": 5,
     "newton_tol": 1e-7,
-    "hourglass_coef": 0.005,
-    "integration": "reduced",
     "seed": 0,
     "workers": 1,
     "a_field_dir": None,
@@ -455,13 +434,8 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
             pool.shutdown(cancel_futures=True)  # an error stops the queued elements
 
     states = solve_plate(
-        mesh,
-        np.stack(tangents),
-        cfg["load_steps"],
-        cfg["s_total"],
+        mesh, np.stack(tangents), cfg["load_steps"], cfg["s_total"],
         newton_tol=cfg["newton_tol"],
-        hourglass_coef=cfg["hourglass_coef"],
-        integration=cfg["integration"],
     )
 
     table = []

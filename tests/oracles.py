@@ -152,20 +152,14 @@ def disc_rve(T, radius_px, contrast, center=None):
     )
 
 
-def _grad_at(xi, eta):
-    """Parent-space shape gradients of the bilinear quad, rows (d/dxi, d/deta)."""
-    return 0.25 * np.array(
-        [
-            [-(1 - eta), (1 - eta), (1 + eta), -(1 + eta)],
-            [-(1 - xi), -(1 + xi), (1 + xi), (1 - xi)],
-        ]
-    )
+# Parent-space shape gradients of the bilinear quad at its center, rows (d/dxi, d/deta).
+_CENTER_GRAD = 0.25 * np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
 
 
-def _b_matrix(coords, xi=0.0, eta=0.0):
+def _b_matrix(coords):
     """Engineering B matrix (rows e11, e22, gamma12), Jacobian determinant
-    and physical shape gradients of one element."""
-    grad = _grad_at(xi, eta)
+    and physical shape gradients of one element at its center."""
+    grad = _CENTER_GRAD
     jac = grad @ coords
     det = np.linalg.det(jac)
     assert det > 0
@@ -178,19 +172,11 @@ def _b_matrix(coords, xi=0.0, eta=0.0):
     return b, det, dndx
 
 
-def element_stiffness_loop(coords, c_storage, hourglass_coef=0.005, integration="reduced"):
+def element_stiffness_loop(coords, c_storage, hourglass_coef=0.005):
     """8x8 stiffness of one element, written out term by term: one-point
-    integration with perturbation hourglass control, or 2x2 Gauss."""
+    integration with perturbation hourglass control."""
     c_eng = np.array(c_storage, dtype=float)
     c_eng[:, 2] *= 0.5  # engineering shear column
-    if integration == "full":
-        gp = 1.0 / np.sqrt(3.0)
-        k = np.zeros((8, 8))
-        for xi in (-gp, gp):
-            for eta in (-gp, gp):
-                b, det, _ = _b_matrix(coords, xi, eta)
-                k += det * b.T @ c_eng @ b
-        return 0.5 * (k + k.T)
     b, det, dndx = _b_matrix(coords)
     area = 4.0 * det
     k = area * b.T @ c_eng @ b
@@ -206,14 +192,12 @@ def _elem_dofs(conn):
     return np.column_stack([2 * conn, 2 * conn + 1]).ravel()
 
 
-def assemble_stiffness_loop(mesh, tangents, integration="reduced"):
+def assemble_stiffness_loop(mesh, tangents):
     """Dense global stiffness, one element at a time."""
     k = np.zeros((mesh.n_dofs, mesh.n_dofs))
     for conn, tangent in zip(mesh.elems, tangents):
         dofs = _elem_dofs(conn)
-        k[np.ix_(dofs, dofs)] += element_stiffness_loop(
-            mesh.nodes[conn], tangent, integration=integration
-        )
+        k[np.ix_(dofs, dofs)] += element_stiffness_loop(mesh.nodes[conn], tangent)
     return k
 
 

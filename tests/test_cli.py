@@ -56,6 +56,8 @@ class TestUsageErrors:
             ("dataset", "solver=5"),
             ("dataset", "resolution=64"),
             ("multiscale", "nx=two"),
+            ("multiscale", "integration=full"),
+            ("multiscale", "hourglass_coef=0.01"),
             ("multiscale", "nx=2.5 ny=1"),
             ("dataset", "n_samples=two"),
             ("gen-rve", "rve.fiber.vof=abc"),
@@ -84,6 +86,27 @@ class TestUsageErrors:
         out = tmp_path / "o"
         assert dispatch(["multiscale", "--set", override, "--out", str(out)]) == 1
         assert not (out / "config_echo.json").exists()
+
+    @pytest.mark.parametrize("zero", [["--threads", "0"], ["--set", "workers=0"]],
+                             ids=["threads", "workers"])
+    @pytest.mark.parametrize("command,small", [
+        pytest.param("dataset", "n_samples=1 n_vof_groups=1 resolution=[32,32]", id="dataset"),
+        pytest.param("multiscale", "nx=1 ny=1 micro.resolution=[32,32]", id="multiscale"),
+    ])
+    def test_zero_workers_exits_1_before_echo(self, tmp_path, command, small, zero):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), *zero]
+        for item in small.split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 1
+        assert not (out / "config_echo.json").exists()
+
+    def test_empty_spinodal_resolution_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        argv = ["gen-rve", "--out", str(out),
+                "--set", 'rve={"spinodal":{"steps":1},"resolution":[0,64]}']
+        assert dispatch(argv) == 1
+        assert "resolution must be >= 1 per axis" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["gen-rve", "solve", "homogenize"])
     def test_threads_only_on_pooled_commands(self, command):

@@ -123,6 +123,11 @@ class TestSpinodal:
                 SpinodalParams(steps=1, initial_noise_amplitude=5.0), DOMAIN, (64, 64), seed=0
             )
 
+    @pytest.mark.parametrize("shape", [(0, 64), (64, 0), (-3, 64)])
+    def test_rejects_empty_resolution(self, shape):
+        with pytest.raises(DomainError, match=r"resolution must be >= 1 per axis"):
+            generate_spinodal_rve(SpinodalParams(steps=1), DOMAIN, shape, seed=0)
+
     def test_invalid_params(self):
         with pytest.raises(DomainError):
             SpinodalParams(steps=0)
