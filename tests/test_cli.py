@@ -81,7 +81,10 @@ class TestUsageErrors:
         assert dispatch(argv) == 2
         assert not (out / "config_echo.json").exists()
 
-    @pytest.mark.parametrize("override", ["micro.solver.tol=-1", "nx=0", "grf_fiber.std=-1"])
+    @pytest.mark.parametrize("override", [
+        "micro.solver.tol=-1", "nx=0", "grf_fiber.std=-1", "load_steps=0", "load_steps=-3",
+        "elem_size=[0.0,0.05]",
+    ])
     def test_invalid_multiscale_value_exits_1_before_echo(self, tmp_path, override):
         out = tmp_path / "o"
         assert dispatch(["multiscale", "--set", override, "--out", str(out)]) == 1

@@ -11,6 +11,7 @@ from microhom.homogenization import asymmetry_threshold, homogenized_stiffness
 from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.plate import (
     GRFConfig,
+    MacroMesh,
     assemble_stiffness,
     element_response,
     element_strains,
@@ -66,12 +67,62 @@ class TestMesh:
         mesh, ref = rect_plate_mesh(3.0, 2.0, 1.0, 1.0), rect_plate_mesh(3, 2, 1.0, 1.0)
         assert np.array_equal(mesh.elems, ref.elems) and np.array_equal(mesh.nodes, ref.nodes)
 
+    @pytest.mark.parametrize("w,h", [(0.0, 0.05), (0.05, -0.01), (np.nan, 1.0), (1.0, np.inf)])
+    def test_element_sizes_must_be_positive_and_finite(self, w, h):
+        with pytest.raises(MeshError, match="element sizes"):
+            rect_plate_mesh(2, 2, w, h)
 
-def distorted_mesh(seed=0):
-    """A 3x4 plate with every node moved up to 0.3 of an element size (all
+    def test_node_order_must_be_a_permutation(self):
+        mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
+        order = mesh.node_order.copy()
+        order[0] = order[1]
+        with pytest.raises(MeshError, match="node_order"):
+            MacroMesh(mesh.nodes, mesh.elems, mesh.dof_fixed, mesh.dof_loaded, order)
+
+    @pytest.mark.parametrize(
+        "nx,ny", [(1, 1), (1, 40), (40, 1), (7, 3), (13, 17), (20, 30), (64, 9)]
+    )
+    def test_node_order_is_a_nested_dissection(self, nx, ny):
+        mesh = rect_plate_mesh(nx, ny, 1.0, 1.0)
+        separators = check_dissection(np.arange(len(mesh.nodes)).reshape(ny + 1, nx + 1),
+                                      mesh.node_order, mesh.elems)
+        assert (separators > 0) == (len(mesh.nodes) > plate._DISSECTION_BLOCK)
+
+
+def check_dissection(ids, order, elems) -> int:
+    """Check that order is a permutation of the grid block ids that numbers
+    it as a nested dissection, and return the number of separator lines found.
+
+    A block of at most _DISSECTION_BLOCK nodes is numbered in natural order.
+    A larger one ends with a full grid line across its longer side, away from
+    both ends and at most one line off its middle; no element joins the two
+    sides; the first side comes first, then the second, each checked the same
+    way."""
+    assert np.array_equal(np.sort(order), np.sort(ids.ravel()))
+    if ids.size <= plate._DISSECTION_BLOCK:
+        assert np.array_equal(order, ids.ravel())
+        return 0
+    sides = ids if ids.shape[1] >= ids.shape[0] else ids.T  # separator is a column of sides
+    tail = np.sort(order[-len(sides):])
+    cols = [c for c in range(sides.shape[1]) if np.array_equal(np.sort(sides[:, c]), tail)]
+    assert len(cols) == 1
+    c = cols[0]
+    first, second = sides[:, :c], sides[:, c + 1:]
+    assert first.size and second.size and abs(first.shape[1] - second.shape[1]) <= 1
+    in_first = np.isin(elems, first).any(axis=1)
+    in_second = np.isin(elems, second).any(axis=1)
+    assert not (in_first & in_second).any()
+    if sides is not ids:  # hand each side back in the grid's own orientation
+        first, second = first.T, second.T
+    return (1 + check_dissection(first, order[:first.size], elems)
+            + check_dissection(second, order[first.size:-len(tail)], elems))
+
+
+def distorted_mesh(seed=0, nx=3, ny=4):
+    """An nx x ny plate with every node moved up to 0.3 of an element size (all
     Jacobians stay positive) and a different random SPD tangent per element."""
     rng = np.random.default_rng(seed)
-    mesh = rect_plate_mesh(3, 4, 0.05, 0.04)
+    mesh = rect_plate_mesh(nx, ny, 0.05, 0.04)
     mesh.nodes = mesh.nodes + rng.uniform(-0.3, 0.3, mesh.nodes.shape) * [0.05, 0.04]
     a = rng.standard_normal((len(mesh.elems), 3, 3))
     return mesh, a @ a.transpose(0, 2, 1) + 0.5 * np.eye(3)
@@ -88,6 +139,16 @@ class TestBatchedAgainstLoop:
         mesh, _ = distorted_mesh()
         u = np.random.default_rng(1).standard_normal(mesh.n_dofs)
         eps, ref = element_strains(mesh, u), element_strains_loop(mesh, u)
+        assert np.abs(eps - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_stacked_element_strains(self):
+        mesh, _ = distorted_mesh()
+        u = np.random.default_rng(2).standard_normal((5, mesh.n_dofs))
+        eps = element_strains(mesh, u)
+        assert eps.shape == (5, len(mesh.elems), 3)
+        for step in range(5):
+            assert np.array_equal(eps[step], element_strains(mesh, u[step]))
+        ref = np.stack([element_strains_loop(mesh, x) for x in u])
         assert np.abs(eps - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
@@ -136,6 +197,17 @@ class TestPlateSolve:
         s[free] = np.linalg.solve(k[np.ix_(free, free)], -k[np.ix_(free, pres)] @ s[pres])
         assert np.abs(s - states[0].displacement).max() <= 1e-10
 
+    def test_dissection_solve_matches_dense_direct_solve(self):
+        mesh, tangents = distorted_mesh(nx=20, ny=30)
+        states = solve_plate(mesh, tangents, 1, 0.02)
+        k = assemble_stiffness(mesh, tangents).toarray()
+        s = np.zeros(mesh.n_dofs)
+        s[mesh.dof_loaded] = 0.02
+        free = mesh.dof_free
+        pres = np.concatenate([mesh.dof_fixed, mesh.dof_loaded])
+        s[free] = np.linalg.solve(k[np.ix_(free, free)], -k[np.ix_(free, pres)] @ s[pres])
+        assert np.abs(s - states[0].displacement).max() <= 1e-10 * np.abs(s).max()
+
     def test_global_equilibrium(self):
         mesh = rect_plate_mesh(4, 8, 0.05, 0.05)
         states = solve_plate(mesh, homogeneous_tangents(mesh), 2, 0.02)
@@ -159,6 +231,12 @@ class TestPlateSolve:
         mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
         with pytest.raises(DomainError):
             solve_plate(mesh, np.zeros((3, 3, 3)), 1, 0.1)
+
+    @pytest.mark.parametrize("load_steps", [0, -1])
+    def test_rejects_load_steps_below_one(self, load_steps):
+        mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
+        with pytest.raises(DomainError, match="load_steps"):
+            solve_plate(mesh, homogeneous_tangents(mesh), load_steps, 0.1)
 
     def test_zero_tangents_singular(self):
         mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
