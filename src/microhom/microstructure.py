@@ -17,6 +17,9 @@ from .errors import DomainError, InstabilityError, PackingError
 from .green import frequency_vector
 from .voigt import IsotropicProps, stiffness_from_enu
 
+_MAX_SWEEPS = 4000  # stirring sweeps per _relax_positions call
+_MAX_RESTARTS = 20  # fresh radius and position draws per generate_fiber_rve call
+
 
 @dataclass
 class Microstructure:
@@ -80,40 +83,52 @@ def rasterize_discs(centers_radii: np.ndarray, domain, resolution) -> np.ndarray
     return grid
 
 
-def _relax_positions(pos, radii, lengths, gap, rng, max_sweeps=4000):
+def _relax_positions(pos, radii, lengths, gap, rng):
     """Push overlapping discs apart along their center lines until all pairs
     satisfy dist >= r_i + r_j + gap under the periodic metric.
 
-    Displacements are accumulated per sweep and applied together so the
-    result does not depend on pair ordering.  Returns None when stuck.
+    Each sweep works on the fixed list of pairs i < j in row-major order.
+    The pushes of the overlapping pairs are summed into each disc in that
+    order, +push*u to i then -push*u to j, pair after pair, and applied
+    together.  Floating-point sums depend on their order, and this order is
+    what keeps the packings bit for bit those of the plain per-pair loop,
+    random directions of coincident pairs included.  Returns None when stuck.
     """
     n = len(radii)
     if n == 1:
         return pos
-    req = radii[:, None] + radii[None, :] + gap
-    np.fill_diagonal(req, 0.0)
+    i_idx, j_idx = np.triu_indices(n, 1)
+    ends = np.column_stack([i_idx, j_idx])  # row p: the two discs of pair p
+    req = radii[i_idx] + radii[j_idx] + gap
     # Push toward a padded separation so the strict requirement is met with
     # margin instead of stalling at exact contact.
     padded = req + 1e-3 * radii.mean()
-    for _ in range(max_sweeps):
-        d = _min_image(pos[:, None, :] - pos[None, :, :], lengths)
-        dist = np.sqrt((d * d).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
+    for _ in range(_MAX_SWEEPS):
+        x, y = pos[:, 0], pos[:, 1]
+        dx = _min_image(x[i_idx] - x[j_idx], lengths[0])
+        dy = _min_image(y[i_idx] - y[j_idx], lengths[1])
+        dist = np.sqrt(dx * dx + dy * dy)
         if (req - dist <= 0.0).all():
             return pos
         short = padded - dist
-        i_idx, j_idx = np.nonzero(np.triu(short > 0.0, k=1))
-        disp = np.zeros_like(pos)
-        for i, j in zip(i_idx, j_idx):
-            u = d[i, j]
-            norm = dist[i, j]
-            if norm == 0.0 or not np.isfinite(norm):
-                u = rng.standard_normal(2)
-                norm = np.linalg.norm(u)
-            u = u / norm
-            push = 0.55 * short[i, j]
-            disp[i] += push * u
-            disp[j] -= push * u
+        hit = np.flatnonzero(short > 0.0)
+        ux, uy, norm = dx[hit], dy[hit], dist[hit]
+        # A coincident pair has no center line: it is pushed along a random
+        # direction, drawn in pair order.  (A non-finite distance never has
+        # short > 0.)
+        for p in np.flatnonzero(norm == 0.0):
+            u = rng.standard_normal(2)
+            ux[p], uy[p], norm[p] = u[0], u[1], np.linalg.norm(u)
+        # Pair p adds +push*u to disc i and -push*u to disc j; bincount sums
+        # each disc's terms in the order i0, j0, i1, j1, ...
+        scale = 0.55 * short[hit]
+        idx = ends[hit].ravel()
+        signed = np.empty(2 * hit.size)
+        disp = np.empty_like(pos)
+        for k, uk in enumerate((ux, uy)):
+            signed[0::2] = scale * (uk / norm)
+            np.negative(signed[0::2], out=signed[1::2])
+            disp[:, k] = np.bincount(idx, signed, minlength=n)
         pos = (pos + disp) % lengths
     return None
 
@@ -126,7 +141,6 @@ def generate_fiber_rve(
     resolution,
     seed: int,
     gap_frac: float = 0.1,
-    max_restarts: int = 20,
 ) -> Microstructure:
     """Generate a periodic random fiber packing hitting a target volume fraction.
 
@@ -154,7 +168,7 @@ def generate_fiber_rve(
     sigma = r_std_frac * r_mean
     n_fibers = max(1, round(vof_target * area / (np.pi * r_mean**2 * (1.0 + r_std_frac**2))))
 
-    for _ in range(max_restarts):
+    for _ in range(_MAX_RESTARTS):
         radii = rng.normal(r_mean, sigma, n_fibers)
         radii = np.clip(radii, r_mean - 3.0 * sigma, r_mean + 3.0 * sigma)
         radii *= np.sqrt(vof_target * area / (np.pi * radii**2).sum())
@@ -195,7 +209,7 @@ def generate_fiber_rve(
             )
     raise PackingError(
         f"could not pack vof={vof_target} with r_mean={r_mean} "
-        f"after {max_restarts} restarts"
+        f"after {_MAX_RESTARTS} restarts"
     )
 
 

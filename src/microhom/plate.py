@@ -264,6 +264,8 @@ def solve_plate(
     """
     if load_steps < 1:
         raise DomainError(f"load_steps must be >= 1, got {load_steps}")
+    if not newton_tol > 0:
+        raise DomainError(f"newton_tol must be > 0, got {newton_tol}")
     tangents = np.asarray(tangents, dtype=float)
     if tangents.shape != (len(mesh.elems), 3, 3):
         raise DomainError(f"need one 3x3 tangent per element, got {tangents.shape}")
@@ -421,6 +423,10 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
         raise DomainError(f"workers must be >= 1, got {cfg['workers']}")
     if cfg["load_steps"] < 1:
         raise DomainError(f"load_steps must be >= 1, got {cfg['load_steps']}")
+    if not cfg["newton_tol"] > 0:
+        raise DomainError(f"newton_tol must be > 0, got {cfg['newton_tol']}")
+    if len(cfg["elem_size"]) != 2:
+        raise DomainError(f"elem_size must be [width, height], got {cfg['elem_size']}")
     mesh = rect_plate_mesh(cfg["nx"], cfg["ny"], *cfg["elem_size"])
     n_el = len(mesh.elems)
     micro = cfg["micro"]

@@ -10,7 +10,7 @@ from microhom.green import (
     make_freq_grid,
     reference_material,
 )
-from microhom.microstructure import assign_properties
+from microhom.microstructure import _min_image, assign_properties
 from microhom.solver import SolveResult
 from microhom.voigt import IsotropicProps, stiffness_from_lame
 
@@ -138,6 +138,44 @@ def spinodal_labels_reference(params, domain, resolution, seed):
         c_hat = (c_hat - rate * ksq * np.fft.fft2(2.0 * c * (1.0 - c) * (1.0 - 2.0 * c))) / denom
     c = np.fft.ifft2(c_hat).real
     return np.where(c > params.threshold, 0, 1).astype(np.uint8)
+
+
+def relax_positions_loop(pos, radii, lengths, gap, rng, max_sweeps=4000):
+    """Push overlapping discs apart along their center lines until all pairs
+    satisfy dist >= r_i + r_j + gap under the periodic metric.
+
+    Displacements are accumulated per sweep and applied together so the
+    result does not depend on pair ordering.  Returns None when stuck.
+    """
+    n = len(radii)
+    if n == 1:
+        return pos
+    req = radii[:, None] + radii[None, :] + gap
+    np.fill_diagonal(req, 0.0)
+    # Push toward a padded separation so the strict requirement is met with
+    # margin instead of stalling at exact contact.
+    padded = req + 1e-3 * radii.mean()
+    for _ in range(max_sweeps):
+        d = _min_image(pos[:, None, :] - pos[None, :, :], lengths)
+        dist = np.sqrt((d * d).sum(axis=2))
+        np.fill_diagonal(dist, np.inf)
+        if (req - dist <= 0.0).all():
+            return pos
+        short = padded - dist
+        i_idx, j_idx = np.nonzero(np.triu(short > 0.0, k=1))
+        disp = np.zeros_like(pos)
+        for i, j in zip(i_idx, j_idx):
+            u = d[i, j]
+            norm = dist[i, j]
+            if norm == 0.0 or not np.isfinite(norm):
+                u = rng.standard_normal(2)
+                norm = np.linalg.norm(u)
+            u = u / norm
+            push = 0.55 * short[i, j]
+            disp[i] += push * u
+            disp[j] -= push * u
+        pos = (pos + disp) % lengths
+    return None
 
 
 def disc_rve(T, radius_px, contrast, center=None):

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import spinodal_labels_reference
+from oracles import relax_positions_loop, spinodal_labels_reference
 
+from microhom import microstructure
 from microhom.errors import DomainError, InstabilityError
 from microhom.microstructure import (
     Microstructure,
     SpinodalParams,
     _min_image,
+    _relax_positions,
     assign_properties,
     generate_fiber_rve,
     generate_spinodal_rve,
@@ -84,6 +86,40 @@ class TestFiberRve:
             generate_fiber_rve(0.5, 3.5, 0.01, DOMAIN, (16, 16), seed=0)
         with pytest.raises(DomainError):
             generate_fiber_rve(0.5, 30.0, 0.01, DOMAIN, (64, 64), seed=0)
+
+
+class TestRelaxMatchesLoop:
+    """The array-form stirring sums its pushes in the per-pair loop's order,
+    so it must give the loop's packings byte for byte."""
+
+    CASES = [
+        *[(seed, vof, (T, T), 0.01, DOMAIN, 0.1)
+          for seed in range(10) for vof in (0.40, 0.60) for T in (64, 128)],
+        (3, 0.5, (64, 96), 0.1, (40.0, 60.0), 0.2),
+    ]
+
+    @pytest.mark.parametrize("seed,vof,resolution,r_std_frac,domain,gap_frac", CASES)
+    def test_fiber_rve_bytes(self, monkeypatch, seed, vof, resolution, r_std_frac,
+                             domain, gap_frac):
+        args = (vof, 3.5, r_std_frac, domain, resolution, seed, gap_frac)
+        fast = generate_fiber_rve(*args)
+        monkeypatch.setattr(microstructure, "_relax_positions", relax_positions_loop)
+        loop = generate_fiber_rve(*args)
+        assert fast.grid.tobytes() == loop.grid.tobytes()
+        assert fast.centers_radii.tobytes() == loop.centers_radii.tobytes()
+
+    def test_coincident_centers_draw_the_same_directions(self):
+        pos = np.array([[10.0, 10.0], [10.0, 10.0], [10.0, 10.0], [30.0, 30.0], [31.0, 30.5]])
+        radii = np.full(5, 3.0)
+        lengths = np.array(DOMAIN)
+        rng_fast, rng_loop = np.random.default_rng(5), np.random.default_rng(5)
+        fast = _relax_positions(pos.copy(), radii, lengths, 0.35, rng_fast)
+        loop = relax_positions_loop(pos.copy(), radii, lengths, 0.35, rng_loop)
+        assert fast.tobytes() == loop.tobytes()
+        after = rng_fast.standard_normal(3)
+        assert after.tobytes() == rng_loop.standard_normal(3).tobytes()
+        # the coincident pairs did draw directions
+        assert not np.array_equal(after, np.random.default_rng(5).standard_normal(3))
 
 
 class TestSpinodal:

@@ -238,6 +238,12 @@ class TestPlateSolve:
         with pytest.raises(DomainError, match="load_steps"):
             solve_plate(mesh, homogeneous_tangents(mesh), load_steps, 0.1)
 
+    @pytest.mark.parametrize("newton_tol", [0.0, -1.0, float("nan")])
+    def test_rejects_non_positive_newton_tol(self, newton_tol):
+        mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
+        with pytest.raises(DomainError, match="newton_tol"):
+            solve_plate(mesh, homogeneous_tangents(mesh), 1, 0.1, newton_tol=newton_tol)
+
     def test_zero_tangents_singular(self):
         mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
         with pytest.raises(DomainError, match="singular macro stiffness"):
