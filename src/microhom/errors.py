@@ -23,11 +23,13 @@ class ZeroMeanStressError(DomainError):
 
 
 class NonConvergenceError(DomainError):
-    """The cell solver stopped before reaching the tolerance.
+    """A solve stopped short of its tolerance.
 
-    Raised at the iteration cap, on a non-finite equilibrium index, or when
-    the stiffness field turns out not to be positive definite.  Carries the
-    full residual history so the cap can be retuned per contrast.
+    The cell solver raises it at the iteration cap, on a non-finite
+    equilibrium index, or when the stiffness field turns out not to be
+    positive definite, with the full residual history so the cap can be
+    retuned per contrast.  The macro solve raises it when a load step's
+    residual exceeds newton_tol, with the residuals up to that step.
     """
 
     def __init__(self, message, history):

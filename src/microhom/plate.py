@@ -1,14 +1,14 @@
 """Concurrent multiscale plate analysis.
 
 A macroscale plane-strain quadrilateral mesh (one periodic micro cell per
-element) is driven through displacement steps by a Newton loop; each
-element's tangent comes from homogenizing its micro cell once up front, and
-micro fields are recovered on demand from the stored concentration tensors.
+element) is driven through displacement steps; each element's tangent comes
+from homogenizing its micro cell once up front, so the macro problem is
+linear and all steps come from one solve.  Micro fields are recovered on
+demand from the stored concentration tensors.
 
 There is one macro element: the bilinear quadrilateral integrated at its
 center, with perturbation hourglass control (Flanagan & Belytschko, IJNME 17,
-1981).  Its hourglass coefficient and the Newton iteration cap are module
-constants.
+1981).  Its hourglass coefficient is a module constant.
 
 Element kernels are batched (one array pass over all elements, no loop),
 and the SPD free-DOF stiffness is factored once in SuperLU's symmetric mode,
@@ -51,7 +51,6 @@ from .voigt import IsotropicProps
 
 _HOURGLASS_MODE = np.array([1.0, -1.0, 1.0, -1.0])
 _HOURGLASS_COEF = 0.005  # fraction of the element stiffness scale
-_NEWTON_CAP = 30
 _CORNERS = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])  # rows xi_a, eta_a
 _DISSECTION_BLOCK = 16  # node blocks this small stay in natural order
 
@@ -248,27 +247,33 @@ def solve_plate(
     s_total: float,
     newton_tol: float = 1e-7,
 ) -> list:
-    """Displacement-driven quasi-static analysis.
+    """Displacement-driven quasi-static analysis with constant tangents.
 
-    The total edge displacement is divided linearly over the load steps; each
-    step runs a Newton loop (assemble residual, solve on the free DOFs,
-    update) until the free-DOF residual norm drops below newton_tol, and
-    raises NonConvergenceError after _NEWTON_CAP iterations.  The
-    reaction is the internal-force sum over the loaded DOFs.  The free-DOF
-    stiffness, assembled from the batched element kernels, is SPD: it is
-    factored once in SuperLU's symmetric mode, with its DOFs eliminated in
-    mesh.node_order (nested dissection for rect_plate_mesh, no further column
-    permutation), and reused; a singular one raises DomainError.  The
-    element strains and stresses of all steps come from one pass after the
-    last step.
+    The total edge displacement is divided linearly over the load steps, and
+    the free DOFs of all steps come from one linear solve with one right-hand
+    side per step.  A step whose free-DOF residual norm is above newton_tol
+    raises NonConvergenceError naming the first such step; every state
+    reports newton_iterations = 1, the one solve that ran.  The reaction is
+    the internal-force sum over the loaded DOFs.  The free-DOF stiffness,
+    assembled from the batched element kernels, is SPD: it is factored in
+    SuperLU's symmetric mode, with its DOFs eliminated in mesh.node_order
+    (nested dissection for rect_plate_mesh, no further column permutation);
+    a singular one raises DomainError, as do a non-finite s_total and a
+    non-finite tangent.  The element strains and stresses of all steps come
+    from one pass.
     """
     if load_steps < 1:
         raise DomainError(f"load_steps must be >= 1, got {load_steps}")
     if not newton_tol > 0:
         raise DomainError(f"newton_tol must be > 0, got {newton_tol}")
+    if not np.isfinite(s_total):
+        raise DomainError(f"s_total must be finite, got {s_total}")
     tangents = np.asarray(tangents, dtype=float)
     if tangents.shape != (len(mesh.elems), 3, 3):
         raise DomainError(f"need one 3x3 tangent per element, got {tangents.shape}")
+    bad = np.flatnonzero(~np.isfinite(tangents).all(axis=(1, 2)))
+    if bad.size:
+        raise DomainError(f"element {bad[0]}: non-finite tangent")
     k_global = assemble_stiffness(mesh, tangents)
     dofs = np.stack([2 * mesh.node_order, 2 * mesh.node_order + 1], axis=1).ravel()
     free = dofs[np.isin(dofs, mesh.dof_free)]
@@ -282,45 +287,36 @@ def solve_plate(
     except RuntimeError as err:
         raise DomainError(f"singular macro stiffness: {err}") from err
 
-    s = np.zeros(mesh.n_dofs)
-    steps, displacements = [], []
-    for step in range(1, load_steps + 1):
-        target = s_total * step / load_steps
-        s[mesh.dof_fixed] = 0.0
-        s[mesh.dof_loaded] = target
+    targets = s_total * np.arange(1, load_steps + 1) / load_steps
+    u = np.zeros((load_steps, mesh.n_dofs))
+    u[:, mesh.dof_loaded] = targets[:, None]
+    u[:, free] = lu.solve(-(k_global @ u.T)[free]).T
+    f_int = (k_global @ u.T).T
+    r_norms = np.linalg.norm(f_int[:, free], axis=1)
+    missed = np.flatnonzero(~(r_norms <= newton_tol))
+    if missed.size:
+        step = missed[0] + 1
+        raise NonConvergenceError(
+            f"macro step {step}: |R| = {r_norms[step - 1]:.3e} > newton_tol {newton_tol:.1e}",
+            r_norms[:step].tolist(),
+        )
 
-        iters = 0
-        while True:
-            f_int = k_global @ s
-            residual = -f_int
-            r_norm = float(np.linalg.norm(residual[free]))
-            if iters > 0 and r_norm <= newton_tol:
-                break
-            if iters >= _NEWTON_CAP:
-                raise NonConvergenceError(
-                    f"Newton stalled at step {step}: |R| = {r_norm:.3e}", [r_norm]
-                )
-            s[free] += lu.solve(residual[free])
-            iters += 1
-        steps.append((step, target, f_int, r_norm, iters))
-        displacements.append(s.copy())
-
-    strains = element_strains(mesh, np.stack(displacements))
+    strains = element_strains(mesh, u)
     stresses = np.einsum("eij,sej->sei", tangents, strains)
     return [
         MacroState(
             step=step,
-            applied_displacement=target,
-            displacement=u,
+            applied_displacement=float(target),
+            displacement=u_s,
             strain_m=strain_m,
             stress_m=stress_m,
-            f_int=f_int,
-            residual_norm=r_norm,
-            reaction=float(f_int[mesh.dof_loaded].sum()),
-            newton_iterations=iters,
+            f_int=f_s,
+            residual_norm=float(r_norm),
+            reaction=float(f_s[mesh.dof_loaded].sum()),
+            newton_iterations=1,
         )
-        for (step, target, f_int, r_norm, iters), u, strain_m, stress_m
-        in zip(steps, displacements, strains, stresses)
+        for step, (target, u_s, strain_m, stress_m, f_s, r_norm)
+        in enumerate(zip(targets, u, strains, stresses, f_int, r_norms), start=1)
     ]
 
 
@@ -425,6 +421,8 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
         raise DomainError(f"load_steps must be >= 1, got {cfg['load_steps']}")
     if not cfg["newton_tol"] > 0:
         raise DomainError(f"newton_tol must be > 0, got {cfg['newton_tol']}")
+    if not np.isfinite(cfg["s_total"]):
+        raise DomainError(f"s_total must be finite, got {cfg['s_total']}")
     if len(cfg["elem_size"]) != 2:
         raise DomainError(f"elem_size must be [width, height], got {cfg['elem_size']}")
     mesh = rect_plate_mesh(cfg["nx"], cfg["ny"], *cfg["elem_size"])

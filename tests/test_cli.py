@@ -84,7 +84,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("override", [
         "micro.solver.tol=-1", "nx=0", "grf_fiber.std=-1", "load_steps=0", "load_steps=-3",
         "elem_size=[0.0,0.05]", "newton_tol=0", "newton_tol=-1", "elem_size=[0.05]",
-        "elem_size=[0.05,0.05,0.05]",
+        "elem_size=[0.05,0.05,0.05]", "s_total=NaN", "s_total=Infinity",
     ])
     def test_invalid_multiscale_value_exits_1_before_echo(self, tmp_path, override):
         out = tmp_path / "o"

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from microhom import plate
 from microhom.dataset import read_sample, write_sample
-from microhom.errors import DomainError, MeshError
+from microhom.errors import DomainError, MeshError, NonConvergenceError
 from microhom.homogenization import asymmetry_threshold, homogenized_stiffness
 from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.plate import (
@@ -185,17 +185,20 @@ class TestPlateSolve:
         slopes = np.array([s.reaction / s.applied_displacement for s in states])
         assert np.abs(slopes / slopes[0] - 1.0).max() <= 1e-10
 
-    def test_matches_dense_direct_solve(self):
+    @pytest.mark.parametrize("load_steps", [1, 3])
+    def test_matches_dense_direct_solve(self, load_steps):
         mesh = rect_plate_mesh(4, 8, 0.05, 0.05)
         tangents = homogeneous_tangents(mesh)
-        states = solve_plate(mesh, tangents, 1, 0.02)
+        states = solve_plate(mesh, tangents, load_steps, 0.02)
+        assert len(states) == load_steps
         k = assemble_stiffness(mesh, tangents).toarray()
-        s = np.zeros(mesh.n_dofs)
-        s[mesh.dof_loaded] = 0.02
         free = mesh.dof_free
         pres = np.concatenate([mesh.dof_fixed, mesh.dof_loaded])
-        s[free] = np.linalg.solve(k[np.ix_(free, free)], -k[np.ix_(free, pres)] @ s[pres])
-        assert np.abs(s - states[0].displacement).max() <= 1e-10
+        for state in states:  # each step against the dense solve for its own target
+            s = np.zeros(mesh.n_dofs)
+            s[mesh.dof_loaded] = 0.02 * state.step / load_steps
+            s[free] = np.linalg.solve(k[np.ix_(free, free)], -k[np.ix_(free, pres)] @ s[pres])
+            assert np.abs(s - state.displacement).max() <= 1e-10
 
     def test_dissection_solve_matches_dense_direct_solve(self):
         mesh, tangents = distorted_mesh(nx=20, ny=30)
@@ -243,6 +246,28 @@ class TestPlateSolve:
         mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
         with pytest.raises(DomainError, match="newton_tol"):
             solve_plate(mesh, homogeneous_tangents(mesh), 1, 0.1, newton_tol=newton_tol)
+
+    @pytest.mark.parametrize("s_total", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_s_total(self, s_total):
+        mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
+        with pytest.raises(DomainError, match="s_total must be finite"):
+            solve_plate(mesh, homogeneous_tangents(mesh), 1, s_total)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_tangent(self, value):
+        mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
+        tangents = homogeneous_tangents(mesh)
+        tangents[2, 1, 0] = value
+        tangents[3, 0, 0] = value
+        with pytest.raises(DomainError, match=r"^element 2: non-finite tangent$"):
+            solve_plate(mesh, tangents, 1, 0.1)
+
+    def test_tolerance_miss_raises_at_the_first_step(self):
+        mesh = rect_plate_mesh(4, 8, 0.05, 0.05)
+        with pytest.raises(NonConvergenceError, match=r"^macro step 1: ") as info:
+            solve_plate(mesh, homogeneous_tangents(mesh), 5, 0.02, newton_tol=1e-30)
+        [r_norm] = info.value.history
+        assert 1e-30 < r_norm <= 1e-7
 
     def test_zero_tangents_singular(self):
         mesh = rect_plate_mesh(2, 2, 1.0, 1.0)
