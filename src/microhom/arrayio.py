@@ -42,10 +42,14 @@ def write_array(path, arr: np.ndarray) -> None:
         fh.write(payload.tobytes())
 
 
-def read_header(path) -> dict:
-    """Parse and validate the JSON header line of an array file."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
+def read_array(path) -> np.ndarray:
+    """Read an array file, checking its header and the payload length against
+    it.  Raises DomainError naming the path when the file cannot be read."""
+    try:
+        with open(path, "rb") as fh:
+            line, payload = fh.readline(), fh.read()
+    except OSError as err:
+        raise DomainError(f"{path}: cannot read: {err.strerror}") from err
     if not line.endswith(b"\n"):
         raise DomainError(f"{path}: missing header newline")
     try:
@@ -59,17 +63,8 @@ def read_header(path) -> dict:
         raise DomainError(f"{path}: unknown dtype {header['dtype']!r}")
     if header["order"] != "C" or header["byte_order"] != "LE":
         raise DomainError(f"{path}: unsupported layout {header}")
-    return header
-
-
-def read_array(path) -> np.ndarray:
-    """Read an array file, checking the payload length against the header."""
-    header = read_header(path)
     dtype = _DTYPES[header["dtype"]]
     shape = tuple(int(s) for s in header["shape"])
-    with open(path, "rb") as fh:
-        fh.readline()
-        payload = fh.read()
     expected = int(np.prod(shape)) * dtype.itemsize
     if len(payload) != expected:
         raise DomainError(

@@ -278,12 +278,14 @@ def _cmd_multiscale(args) -> int:
 
 def _cmd_export_image(args) -> int:
     field = read_array(args.field).astype(float)
-    if args.component:
-        for token in args.component.split(","):
+    for token in args.component.split(",") if args.component else ():
+        try:
             index = int(token)
-            if field.ndim < 3:
-                raise DomainError("component selection exceeds field rank")
-            field = field[..., index] if field.ndim == 3 else field[:, :, index]
+        except ValueError:
+            raise ConfigError(f"--component takes integer indices, got {token!r}") from None
+        if field.ndim < 3 or not -field.shape[2] <= index < field.shape[2]:
+            raise DomainError(f"component {index} is out of range for field shape {field.shape}")
+        field = field[:, :, index]
     if field.ndim != 2:
         raise DomainError(
             f"field is {field.ndim}-D after component selection; need 2-D "

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arrayio import read_array, read_header, write_array
+from .arrayio import read_array, write_array
 from .config import kind, resolve
 from .errors import ConfigError, DomainError
 from .green import make_freq_grid
@@ -34,6 +34,8 @@ MANIFEST_NAME = "manifest.json"
 CONFIG_ECHO_NAME = "config_echo.json"
 # Slack on a Tol recomputed from stored fields; ulp-level stress changes move it ~1e-19.
 EQUILIBRIUM_ROUNDOFF = 1e-15
+# Slack on |mean(A) - I|: the solver keeps the mean strain to round-off.
+MEAN_IDENTITY_ATOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -57,13 +59,15 @@ class DatasetConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("vof_range", "fiber_E_bounds", "fiber_nu_bounds",
-                     "matrix_E_bounds", "matrix_nu_bounds"):
+        for name in ("n_samples", "n_vof_groups", "workers"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.vof_range[0] > self.vof_range[1]:
+            raise DomainError(f"vof_range must be ordered lo <= hi, got {self.vof_range}")
+        for name in ("fiber_E_bounds", "fiber_nu_bounds", "matrix_E_bounds", "matrix_nu_bounds"):
             lo, hi = getattr(self, name)
-            if lo > hi:
-                raise DomainError(f"{name} must be ordered lo <= hi, got ({lo}, {hi})")
-        if self.workers < 1:
-            raise DomainError(f"workers must be >= 1, got {self.workers}")
+            if not lo < hi:
+                raise DomainError(f"{name} must satisfy lo < hi, got ({lo}, {hi})")
         if self.n_samples % self.n_vof_groups != 0:
             raise DomainError(
                 f"n_samples ({self.n_samples}) must be divisible by "
@@ -269,15 +273,16 @@ def generate_dataset(cfg: DatasetConfig) -> dict:
     return manifest
 
 
-def validate_dataset(root, atol: float = 1e-8) -> list:
+def validate_dataset(root) -> list:
     """Re-check a dataset directory against its manifest.
 
-    Verifies header/shape agreement for every referenced array, that every
-    file under samples/ is referenced exactly once, and that each sample
-    passes read_sample with a concentration field averaging to the identity
-    within atol and in equilibrium (each unit load's Tol, recomputed from the
-    stored fields on the manifest config's domain, within the
-    recorded tol).  Returns a list of human-readable problems (empty if clean).
+    The manifest config fixes each sample's file map and grid shape, and
+    every file under samples/ must be referenced exactly once.  Each file is
+    read once, by read_sample or read_array: a stored stiffness must equal,
+    bitwise, the one rebuilt from the grid and properties, and the
+    concentration field must average to the identity and be in equilibrium
+    (each unit load's Tol, recomputed from the stored fields on the config's
+    domain, within the recorded tol).  Returns a list of problems, empty if clean.
     """
     root = Path(root)
     try:
@@ -292,47 +297,44 @@ def validate_dataset(root, atol: float = 1e-8) -> list:
     except (ConfigError, DomainError) as err:
         return [f"{root / MANIFEST_NAME}: config: {err}"]
 
+    grid_shape, field_shape = list(cfg.resolution), [*cfg.resolution, 3, 3]
+    expected = {"rve.u8.bin": grid_shape, "a_field.f64.bin": field_shape, "sample.json": None}
+    if cfg.store_stiffness:
+        expected["c_field.f64.bin"] = field_shape
+    freqs = make_freq_grid(cfg.resolution, cfg.domain_size)
     problems = []
     referenced = set()
     for i, entry in enumerate(samples):
         try:
-            sdir, files = root / entry["dir"], entry["files"].items()
+            sdir, names = root / entry["dir"], entry["files"].keys()
         except (AttributeError, KeyError, TypeError):
             problems.append(f"{root / MANIFEST_NAME}: samples[{i}] needs a 'dir' and a 'files' map")
             continue
-        n_before = len(problems)
-        for name, shape in files:
-            path = sdir / name
-            referenced.add(path.resolve())
-            if not path.exists():
-                problems.append(f"{path}: referenced but missing")
-                continue
-            if shape is None:
-                continue
-            try:
-                header = read_header(path)
-            except DomainError as err:
-                problems.append(str(err))
-                continue
-            if list(header["shape"]) != shape:
-                problems.append(
-                    f"{path}: header shape {header['shape']} != manifest {shape}"
-                )
-        if len(problems) > n_before:
+        referenced.update((sdir / name).resolve() for name in names)
+        if entry["files"] != expected:
+            problems.append(f"{sdir}: manifest files {entry['files']} != config's {expected}")
             continue
         try:
             grid, fiber, matrix, conc = read_sample(sdir)
+            stored = read_array(sdir / "c_field.f64.bin") if cfg.store_stiffness else None
         except DomainError as err:
             problems.append(str(err))
             continue
+        if grid.shape != cfg.resolution:
+            problems.append(f"{sdir}: grid shape {grid.shape} != resolution {cfg.resolution}")
+            continue
+        c_field = assign_properties(grid, fiber, matrix)
+        if stored is not None and (stored.shape != c_field.shape
+                                   or stored.tobytes() != c_field.tobytes()):
+            problems.append(f"{sdir}: stored c_field differs from the one rebuilt from the grid")
+            continue
         dev = np.abs(conc.a.mean(axis=(0, 1)) - np.eye(3)).max()
-        if dev > atol:
+        if dev > MEAN_IDENTITY_ATOL:
             problems.append(f"{sdir}: mean concentration deviates from identity by {dev:.3e}")
             continue
         # Column j of A is the strain of unit load j: sigma_j = C : A e_j.
-        stress = np.einsum("xyij,xyjk->xyik", assign_properties(grid, fiber, matrix), conc.a)
+        stress = np.einsum("xyij,xyjk->xyik", c_field, conc.a)
         stress_hat = np.fft.fft2(stress, axes=(0, 1))
-        freqs = make_freq_grid(grid.shape, cfg.domain_size)
         tol = conc.metadata["tol"]
         for j in range(3):
             residual = convergence_metric(stress_hat[..., j], freqs)

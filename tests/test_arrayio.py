@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from microhom.arrayio import read_array, read_header, write_array, write_pgm
+from microhom.arrayio import read_array, write_array, write_pgm
 from microhom.errors import DomainError
 
 
@@ -53,7 +53,12 @@ class TestArrayFile:
         path = tmp_path / "x.bin"
         path.write_bytes(b'{"dtype": "f64"}\n')
         with pytest.raises(DomainError):
-            read_header(path)
+            read_array(path)
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        path = tmp_path / "missing.bin"
+        with pytest.raises(DomainError, match="missing.bin: cannot read"):
+            read_array(path)
 
 
 class TestPgm:

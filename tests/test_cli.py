@@ -91,6 +91,19 @@ class TestUsageErrors:
         assert dispatch(["multiscale", "--set", override, "--out", str(out)]) == 1
         assert not (out / "config_echo.json").exists()
 
+    @pytest.mark.parametrize("override", [
+        "n_samples=0", "n_samples=-4 n_vof_groups=1", "n_vof_groups=0",
+        "fiber_nu_bounds=[0.2,0.2]",
+    ])
+    def test_invalid_dataset_value_exits_1_before_echo(self, tmp_path, capsys, override):
+        out = tmp_path / "o"
+        argv = ["dataset", "--out", str(out)]
+        for item in override.split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 1
+        assert not (out / "config_echo.json").exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     @pytest.mark.parametrize("zero", [["--threads", "0"], ["--set", "workers=0"]],
                              ids=["threads", "workers"])
     @pytest.mark.parametrize("command,small", [
@@ -118,12 +131,15 @@ class TestUsageErrors:
             dispatch([command, "--threads", "2"])
         assert exc.value.code == 2
 
-    def test_grid_file_outside_0_1_exits_1(self, tmp_path):
+    @pytest.mark.parametrize("stored", [True, False], ids=["values-0.5", "missing-file"])
+    def test_grid_file_outside_0_1_exits_1(self, tmp_path, capsys, stored):
         grid = tmp_path / "grid.f64.bin"
-        write_array(grid, np.full((8, 8), 0.5))
+        if stored:
+            write_array(grid, np.full((8, 8), 0.5))
         assert dispatch([
             "gen-rve", "--set", f"rve.file={grid}", "--out", str(tmp_path / "o")
         ]) == 1
+        assert str(grid) in capsys.readouterr().err
 
     def test_domain_error_exits_1(self, tmp_path):
         cfg = write_config(
@@ -270,13 +286,19 @@ class TestExportImage:
         ]) == 0
         assert pgm.read_bytes().startswith(b"P5\n16 16\n255\n")
 
-    def test_missing_component_is_domain_error(self, tmp_path):
+    @pytest.mark.parametrize("component,code", [(None, 1), ("5", 1), ("a", 2)])
+    def test_missing_component_is_domain_error(self, tmp_path, capsys, component, code):
         arr = np.zeros((8, 8, 3))
         src = tmp_path / "a.bin"
         write_array(src, arr)
-        assert dispatch([
-            "export-image", "--field", str(src), "--out", str(tmp_path / "x.pgm")
-        ]) == 1
+        argv = ["export-image", "--field", str(src), "--out", str(tmp_path / "x.pgm")]
+        if component is not None:
+            argv += ["--component", component]
+        assert dispatch(argv) == code
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        if component == "5":
+            assert "component 5" in err and "(8, 8, 3)" in err
 
 
 class TestGenRveSpinodal:

@@ -129,7 +129,8 @@ class TestGenerateDataset:
         problems = validate_dataset(scratch)
         assert any("not referenced" in p for p in problems)
 
-    @pytest.mark.parametrize("defect", ["non-object sample.json", "grid value 2"])
+    @pytest.mark.parametrize("defect", ["non-object sample.json", "grid value 2",
+                                        "a_field removed", "files map edited"])
     def test_validate_applies_the_sample_checks(self, small_dataset, tmp_path, defect):
         out, _, _ = small_dataset
         scratch = tmp_path / "copy"
@@ -137,12 +138,40 @@ class TestGenerateDataset:
         sdir = scratch / "samples" / "000001"
         if defect == "non-object sample.json":
             (sdir / "sample.json").write_text("[]")
-        else:
+        elif defect == "grid value 2":
             grid = read_array(sdir / "rve.u8.bin")
             grid[0, 0] = 2
             write_array(sdir / "rve.u8.bin", grid)
+        elif defect == "a_field removed":
+            (sdir / "a_field.f64.bin").unlink()
+        else:
+            manifest = json.loads((scratch / "manifest.json").read_text())
+            manifest["samples"][1]["files"]["rve.u8.bin"] = [32, 32]
+            (scratch / "manifest.json").write_text(json.dumps(manifest))
         problems = validate_dataset(scratch)
         assert len(problems) == 1 and str(sdir) in problems[0]
+
+    @pytest.mark.parametrize("defect", ["truncated", "one entry changed"])
+    def test_validate_checks_stored_stiffness(self, tmp_path, defect):
+        cfg = DatasetConfig(
+            n_samples=2,
+            n_vof_groups=2,
+            resolution=(32, 32),
+            master_seed=5,
+            store_stiffness=True,
+            output_dir=str(tmp_path / "withc"),
+        )
+        generate_dataset(cfg)
+        assert validate_dataset(tmp_path / "withc") == []
+        path = tmp_path / "withc" / "samples" / "000001" / "c_field.f64.bin"
+        if defect == "truncated":
+            path.write_bytes(path.read_bytes()[:-8])
+        else:
+            c = read_array(path)
+            c[3, 5, 0, 0] *= 1.0 + 1e-12
+            write_array(path, c)
+        problems = validate_dataset(tmp_path / "withc")
+        assert len(problems) == 1 and str(path.parent) in problems[0]
 
     def test_validate_checks_equilibrium(self, small_dataset, tmp_path):
         # a field off equilibrium by 1e-3 that still averages to I: the mean
