@@ -12,6 +12,7 @@ to 0..255, with the normalization bounds echoed in a sidecar JSON.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -56,16 +57,20 @@ def read_array(path) -> np.ndarray:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
         raise DomainError(f"{path}: bad header: {err}") from err
+    if not isinstance(header, dict):
+        raise DomainError(f"{path}: header is not a JSON object")
     for key in ("dtype", "shape", "order", "byte_order"):
         if key not in header:
             raise DomainError(f"{path}: header missing {key!r}")
-    if header["dtype"] not in _DTYPES:
+    if not isinstance(header["dtype"], str) or header["dtype"] not in _DTYPES:
         raise DomainError(f"{path}: unknown dtype {header['dtype']!r}")
     if header["order"] != "C" or header["byte_order"] != "LE":
         raise DomainError(f"{path}: unsupported layout {header}")
+    shape = header["shape"]
+    if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+        raise DomainError(f"{path}: shape must be a list of non-negative ints, got {shape!r}")
     dtype = _DTYPES[header["dtype"]]
-    shape = tuple(int(s) for s in header["shape"])
-    expected = int(np.prod(shape)) * dtype.itemsize
+    expected = math.prod(shape) * dtype.itemsize
     if len(payload) != expected:
         raise DomainError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}"

@@ -122,6 +122,10 @@ def _cell_config(args, **defaults) -> dict:
     if cell is None:
         raise ConfigError("'rve' needs one of: " + ", ".join(_RVE_KINDS))
     node = cfg["rve"]
+    if len(cfg["domain"]) != 2:
+        raise DomainError(f"'domain' must have two entries, got {cfg['domain']}")
+    if cell != "file" and len(node["resolution"]) != 2:
+        raise DomainError(f"'rve.resolution' must have two entries, got {node['resolution']}")
     uniform = node["uniform"]
     if cell == "uniform" and (kind(uniform) != "a number" or uniform not in (0, 1)):
         raise ConfigError("'rve.uniform' must be 0 or 1")
@@ -166,8 +170,8 @@ def _cmd_gen_rve(args) -> int:
     cfg = _cell_config(args)
     domain = [float(v) for v in cfg["domain"]]
     out = Path(args.out)
-    _echo_config(out, cfg)
     rve = _build_rve(cfg["rve"], domain)
+    _echo_config(out, cfg)
     write_array(out / "rve.u8.bin", rve.grid)
     if args.pgm:
         write_pgm(out / "rve.pgm", rve.grid.astype(float))
@@ -195,8 +199,8 @@ def _cmd_solve(args) -> int:
     fiber, matrix = _props(cfg, "fiber_props"), _props(cfg, "matrix_props")
     solver = SolverConfig(**cfg["solver"])
     out = Path(args.out)
-    _echo_config(out, cfg)
     rve = _build_rve(cfg["rve"], domain)
+    _echo_config(out, cfg)
     c_field = assign_properties(rve, fiber, matrix)
     result = solve_unit_load(c_field, macro, solver, domain=domain)
     write_array(out / "strain.f64.bin", result.strain)
@@ -218,8 +222,8 @@ def _cmd_homogenize(args) -> int:
     fiber, matrix = _props(cfg, "fiber_props"), _props(cfg, "matrix_props")
     solver = SolverConfig(**cfg["solver"])
     out = Path(args.out)
-    _echo_config(out, cfg)
     rve = _build_rve(cfg["rve"], domain)
+    _echo_config(out, cfg)
     c_field = assign_properties(rve, fiber, matrix)
     conc = strain_concentration(c_field, solver, domain=domain)
     cbar, asym = homogenized_stiffness(c_field, conc)

@@ -62,6 +62,9 @@ class DatasetConfig:
         for name in ("n_samples", "n_vof_groups", "workers"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("resolution", "domain_size"):
+            if len(getattr(self, name)) != 2:
+                raise DomainError(f"{name} must have two entries, got {getattr(self, name)}")
         if self.vof_range[0] > self.vof_range[1]:
             raise DomainError(f"vof_range must be ordered lo <= hi, got {self.vof_range}")
         for name in ("fiber_E_bounds", "fiber_nu_bounds", "matrix_E_bounds", "matrix_nu_bounds"):

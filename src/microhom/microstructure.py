@@ -155,6 +155,8 @@ def generate_fiber_rve(
     """
     if not 0.0 < vof_target <= 0.65:
         raise DomainError(f"vof_target must lie in (0, 0.65], got {vof_target}")
+    if len(resolution) != 2:
+        raise DomainError(f"resolution must have two entries, got {resolution}")
     T1, T2 = int(resolution[0]), int(resolution[1])
     if min(T1, T2) < 32:
         raise DomainError(f"resolution must be >= 32 per axis, got {resolution}")
@@ -227,9 +229,11 @@ def generate_spinodal_rve(
     exceeds the threshold and 1 (hard) otherwise.
 
     Raises:
-        DomainError: a resolution axis below 1 pixel.
+        DomainError: a resolution without two entries, or an axis below 1 pixel.
         InstabilityError: the concentration left [-0.5, 1.5].
     """
+    if len(resolution) != 2:
+        raise DomainError(f"resolution must have two entries, got {resolution}")
     T1, T2 = int(resolution[0]), int(resolution[1])
     if min(T1, T2) < 1:
         raise DomainError(f"resolution must be >= 1 per axis, got {resolution}")

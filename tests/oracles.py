@@ -246,3 +246,17 @@ def element_strains_loop(mesh, displacement):
         eng = _b_matrix(mesh.nodes[conn])[0] @ displacement[_elem_dofs(conn)]
         out[e] = (eng[0], eng[1], 0.5 * eng[2])
     return out
+
+
+def solve_plate_dense(mesh, tangents, load_steps, s_total):
+    """Displacements (load_steps, 2N) of the plate, one dense direct solve per
+    step for that step's own edge displacement s_total * step / load_steps."""
+    k = assemble_stiffness_loop(mesh, tangents)
+    free = mesh.dof_free
+    pres = np.concatenate([mesh.dof_fixed, mesh.dof_loaded])
+    k_ff, k_fp = k[np.ix_(free, free)], k[np.ix_(free, pres)]
+    u = np.zeros((load_steps, mesh.n_dofs))
+    for step, u_s in enumerate(u, start=1):
+        u_s[mesh.dof_loaded] = s_total * step / load_steps
+        u_s[free] = np.linalg.solve(k_ff, -k_fp @ u_s[pres])
+    return u

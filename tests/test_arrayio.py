@@ -55,6 +55,27 @@ class TestArrayFile:
         with pytest.raises(DomainError):
             read_array(path)
 
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"5",
+            b'{"dtype": "f64", "shape": "ab", "order": "C", "byte_order": "LE"}',
+            b'{"dtype": ["f64"], "shape": [1], "order": "C", "byte_order": "LE"}',
+            b'{"dtype": "f64", "shape": [-1, -1], "order": "C", "byte_order": "LE"}',
+            b'{"dtype": "f64", "shape": [1.0], "order": "C", "byte_order": "LE"}',
+            b'{"dtype": "f64", "shape": [true], "order": "C", "byte_order": "LE"}',
+            b'{"dtype": "f64", "shape": 1, "order": "C", "byte_order": "LE"}',
+        ],
+        ids=["int", "shape-string", "dtype-list", "shape-negative", "shape-float",
+             "shape-bool", "shape-int"],
+    )
+    def test_unusable_header_is_one_line_domain_error(self, tmp_path, header):
+        path = tmp_path / "x.bin"
+        path.write_bytes(header + b"\n" + bytes(8))  # one f64, were the header usable
+        with pytest.raises(DomainError, match=r"x\.bin: ") as info:
+            read_array(path)
+        assert "\n" not in str(info.value)
+
     def test_missing_file_names_the_path(self, tmp_path):
         path = tmp_path / "missing.bin"
         with pytest.raises(DomainError, match="missing.bin: cannot read"):

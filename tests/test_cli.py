@@ -85,15 +85,19 @@ class TestUsageErrors:
         "micro.solver.tol=-1", "nx=0", "grf_fiber.std=-1", "load_steps=0", "load_steps=-3",
         "elem_size=[0.0,0.05]", "newton_tol=0", "newton_tol=-1", "elem_size=[0.05]",
         "elem_size=[0.05,0.05,0.05]", "s_total=NaN", "s_total=Infinity",
+        "micro.resolution=[64]", "micro.resolution=[64,64,64]", "micro.domain=[50.0]",
+        "micro.nu_fiber=0.5", "micro.nu_matrix=-1",
     ])
-    def test_invalid_multiscale_value_exits_1_before_echo(self, tmp_path, override):
+    def test_invalid_multiscale_value_exits_1_before_echo(self, tmp_path, capsys, override):
         out = tmp_path / "o"
         assert dispatch(["multiscale", "--set", override, "--out", str(out)]) == 1
         assert not (out / "config_echo.json").exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("override", [
         "n_samples=0", "n_samples=-4 n_vof_groups=1", "n_vof_groups=0",
-        "fiber_nu_bounds=[0.2,0.2]",
+        "fiber_nu_bounds=[0.2,0.2]", "resolution=[64]", "resolution=[64,64,64]",
+        "domain_size=[50.0]",
     ])
     def test_invalid_dataset_value_exits_1_before_echo(self, tmp_path, capsys, override):
         out = tmp_path / "o"
@@ -140,6 +144,20 @@ class TestUsageErrors:
             "gen-rve", "--set", f"rve.file={grid}", "--out", str(tmp_path / "o")
         ]) == 1
         assert str(grid) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", [
+        "rve.file=missing.bin", "rve.uniform=1 rve.resolution=[64]", "rve.uniform=1 domain=[50.0]",
+    ])
+    @pytest.mark.parametrize("command", ["gen-rve", "solve", "homogenize"])
+    def test_bad_cell_exits_1_without_output(self, tmp_path, capsys, command, cell):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out)]
+        props = "fiber_props.E=10.0 fiber_props.nu=0.3 matrix_props.E=2.0 matrix_props.nu=0.3"
+        for item in (cell if command == "gen-rve" else f"{cell} {props}").split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 1
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_domain_error_exits_1(self, tmp_path):
         cfg = write_config(
@@ -402,10 +420,13 @@ class TestMultiscaleCommand:
         assert str(cell) in capsys.readouterr().err
 
     def test_missing_a_field_dir_exits_1(self, tmp_path):
-        assert dispatch([
-            "multiscale", "--set", f"a_field_dir={tmp_path / 'nowhere'}",
-            "--out", str(tmp_path / "o"),
-        ]) == 1
+        (tmp_path / "empty").mkdir()  # no element dirs for the 120-element default plate
+        for micro in ("nowhere", "empty"):
+            out = tmp_path / f"o_{micro}"
+            assert dispatch([
+                "multiscale", "--set", f"a_field_dir={tmp_path / micro}", "--out", str(out),
+            ]) == 1
+            assert not (out / "config_echo.json").exists()
 
     def test_small_run(self, tmp_path):
         cfg = write_config(tmp_path / "m.json", SMALL_PLATE)

@@ -87,6 +87,11 @@ class TestFiberRve:
         with pytest.raises(DomainError):
             generate_fiber_rve(0.5, 30.0, 0.01, DOMAIN, (64, 64), seed=0)
 
+    @pytest.mark.parametrize("shape", [(64,), (64, 64, 64)])
+    def test_rejects_resolution_without_two_entries(self, shape):
+        with pytest.raises(DomainError, match=r"resolution must have two entries"):
+            generate_fiber_rve(0.5, 3.5, 0.01, DOMAIN, shape, seed=0)
+
 
 class TestRelaxMatchesLoop:
     """The array-form stirring sums its pushes in the per-pair loop's order,
@@ -162,6 +167,11 @@ class TestSpinodal:
     @pytest.mark.parametrize("shape", [(0, 64), (64, 0), (-3, 64)])
     def test_rejects_empty_resolution(self, shape):
         with pytest.raises(DomainError, match=r"resolution must be >= 1 per axis"):
+            generate_spinodal_rve(SpinodalParams(steps=1), DOMAIN, shape, seed=0)
+
+    @pytest.mark.parametrize("shape", [(64,), (64, 64, 64)])
+    def test_rejects_resolution_without_two_entries(self, shape):
+        with pytest.raises(DomainError, match=r"resolution must have two entries"):
             generate_spinodal_rve(SpinodalParams(steps=1), DOMAIN, shape, seed=0)
 
     def test_invalid_params(self):

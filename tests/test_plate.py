@@ -24,7 +24,7 @@ from microhom.plate import (
 )
 from microhom.solver import SolverConfig
 from microhom.voigt import IsotropicProps, stiffness_from_enu
-from oracles import assemble_stiffness_loop, element_strains_loop
+from oracles import assemble_stiffness_loop, element_strains_loop, solve_plate_dense
 
 C_EPOXY = stiffness_from_enu(IsotropicProps(3.35, 0.34))
 UNIT_SQUARE = np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])
@@ -191,25 +191,29 @@ class TestPlateSolve:
         tangents = homogeneous_tangents(mesh)
         states = solve_plate(mesh, tangents, load_steps, 0.02)
         assert len(states) == load_steps
-        k = assemble_stiffness(mesh, tangents).toarray()
-        free = mesh.dof_free
-        pres = np.concatenate([mesh.dof_fixed, mesh.dof_loaded])
-        for state in states:  # each step against the dense solve for its own target
-            s = np.zeros(mesh.n_dofs)
-            s[mesh.dof_loaded] = 0.02 * state.step / load_steps
-            s[free] = np.linalg.solve(k[np.ix_(free, free)], -k[np.ix_(free, pres)] @ s[pres])
+        ref = solve_plate_dense(mesh, tangents, load_steps, 0.02)
+        for state, s in zip(states, ref):  # each step against the dense solve for its own target
             assert np.abs(s - state.displacement).max() <= 1e-10
 
     def test_dissection_solve_matches_dense_direct_solve(self):
         mesh, tangents = distorted_mesh(nx=20, ny=30)
         states = solve_plate(mesh, tangents, 1, 0.02)
-        k = assemble_stiffness(mesh, tangents).toarray()
-        s = np.zeros(mesh.n_dofs)
-        s[mesh.dof_loaded] = 0.02
-        free = mesh.dof_free
-        pres = np.concatenate([mesh.dof_fixed, mesh.dof_loaded])
-        s[free] = np.linalg.solve(k[np.ix_(free, free)], -k[np.ix_(free, pres)] @ s[pres])
+        [s] = solve_plate_dense(mesh, tangents, 1, 0.02)
         assert np.abs(s - states[0].displacement).max() <= 1e-10 * np.abs(s).max()
+
+    def test_steps_scale_one_solution(self):
+        mesh, tangents = distorted_mesh()
+        states = solve_plate(mesh, tangents, 5, 0.02)
+        last = states[-1]
+        for state in states:
+            scale = state.step / 5
+            assert state.applied_displacement == 0.02 * state.step / 5
+            for field in ("displacement", "f_int", "strain_m", "stress_m"):
+                ref = scale * getattr(last, field)
+                assert np.abs(getattr(state, field) - ref).max() <= 1e-14 * np.abs(ref).max()
+            for field in ("residual_norm", "reaction"):
+                ref = scale * getattr(last, field)
+                assert abs(getattr(state, field) - ref) <= 1e-14 * abs(ref)
 
     def test_global_equilibrium(self):
         mesh = rect_plate_mesh(4, 8, 0.05, 0.05)
