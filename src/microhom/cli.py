@@ -196,6 +196,8 @@ def _cmd_solve(args) -> int:
     )
     domain = [float(v) for v in cfg["domain"]]
     macro = [float(v) for v in cfg["macro_strain"]]
+    if len(macro) != 3 or not np.isfinite(macro).all():
+        raise DomainError(f"'macro_strain' must be three finite numbers, got {cfg['macro_strain']}")
     fiber, matrix = _props(cfg, "fiber_props"), _props(cfg, "matrix_props")
     solver = SolverConfig(**cfg["solver"])
     out = Path(args.out)

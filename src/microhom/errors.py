@@ -36,6 +36,10 @@ class NonConvergenceError(DomainError):
         super().__init__(message)
         self.history = list(history)
 
+    def __reduce__(self):
+        # The default rebuilds from args, which lack the history.
+        return type(self), (self.args[0], self.history)
+
 
 class PackingError(DomainError):
     """Fiber packing failed to reach the target volume fraction."""

@@ -140,17 +140,24 @@ def green_operator(grid: FreqGrid, lame0: Lame) -> GreenField:
     return GreenField(g.transpose(2, 3, 0, 1), lame0)
 
 
-def apply_green(g: np.ndarray, field: np.ndarray) -> np.ndarray:
+def apply_green(g: np.ndarray, field: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """Contract the stored Green matrices with a tensorial-shear vector field.
 
-    g (T1, T2, 3, 3) and field (T1, T2, 3) may be in any memory order; the
-    result is component-major in memory when both are.  The symmetric storage
-    doubles the shear row as well as the shear column, so the tensor
-    contraction is the plain product with its third component halved.
+    g (T1, T2, 3, 3) and field (T1, T2, 3) may be in any memory order; a new
+    result is component-major in memory when both are.  out, if given, is a
+    (T1, T2, 3) array that receives the result and is returned.  The
+    symmetric storage doubles the shear row as well as the shear column, so
+    the tensor contraction is the plain product with its third component
+    halved.
     """
-    out = np.einsum("ijxy,jxy->ixy", g.transpose(2, 3, 0, 1), field.transpose(2, 0, 1))
-    out[2] *= 0.5
-    return out.transpose(1, 2, 0)
+    major = np.einsum(
+        "ijxy,jxy->ixy",
+        g.transpose(2, 3, 0, 1),
+        field.transpose(2, 0, 1),
+        out=None if out is None else out.transpose(2, 0, 1),
+    )
+    major[2] *= 0.5
+    return major.transpose(1, 2, 0)
 
 
 def reference_material(lam_grid: np.ndarray, mu_grid: np.ndarray) -> Lame:

@@ -17,6 +17,7 @@ from .errors import DomainError, InstabilityError, PackingError
 from .green import frequency_vector
 from .voigt import IsotropicProps, stiffness_from_enu
 
+VOF_MAX = 0.65  # densest fiber volume fraction generate_fiber_rve packs
 _MAX_SWEEPS = 4000  # stirring sweeps per _relax_positions call
 _MAX_RESTARTS = 20  # fresh radius and position draws per generate_fiber_rve call
 
@@ -153,8 +154,8 @@ def generate_fiber_rve(
     Raises:
         PackingError: the stir/retry budget ran out before reaching the target.
     """
-    if not 0.0 < vof_target <= 0.65:
-        raise DomainError(f"vof_target must lie in (0, 0.65], got {vof_target}")
+    if not 0.0 < vof_target <= VOF_MAX:
+        raise DomainError(f"vof_target must lie in (0, {VOF_MAX}], got {vof_target}")
     if len(resolution) != 2:
         raise DomainError(f"resolution must have two entries, got {resolution}")
     T1, T2 = int(resolution[0]), int(resolution[1])
@@ -289,10 +290,11 @@ def assign_properties(m, fiber: IsotropicProps, matrix: IsotropicProps) -> np.nd
     """Per-pixel stiffness field from the characteristic function.
 
     Fiber pixels (grid == 1) get the fiber stiffness, the rest the matrix
-    stiffness.  Accepts a Microstructure or a bare grid.
+    stiffness.  Accepts a Microstructure or a bare grid.  The (T1, T2, 3, 3)
+    result is a view of component-major (3, 3, T1, T2) memory, the cell
+    solver's layout, so no solve copies it.
     """
     grid = np.asarray(m.grid if isinstance(m, Microstructure) else m)
-    c_fiber = stiffness_from_enu(fiber)
-    c_matrix = stiffness_from_enu(matrix)
-    chi = (grid == 1)[..., None, None]
-    return np.where(chi, c_fiber, c_matrix)
+    c_fiber = stiffness_from_enu(fiber)[..., None, None]
+    c_matrix = stiffness_from_enu(matrix)[..., None, None]
+    return np.where(grid == 1, c_fiber, c_matrix).transpose(2, 3, 0, 1)

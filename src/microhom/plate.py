@@ -46,7 +46,7 @@ from .homogenization import (
     reconstruct_strain,
     strain_concentration,
 )
-from .microstructure import assign_properties, generate_fiber_rve
+from .microstructure import VOF_MAX, assign_properties, generate_fiber_rve
 from .solver import SolverConfig
 from .voigt import IsotropicProps
 
@@ -441,6 +441,10 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
     for name in ("nu_fiber", "nu_matrix"):
         if not -1.0 < micro[name] < 0.5:
             raise DomainError(f"micro.{name} must lie in (-1, 0.5), got {micro[name]}")
+    if len(micro["vof_range"]) != 2 or not all(0.0 < v <= VOF_MAX for v in micro["vof_range"]):
+        raise DomainError(
+            f"micro.vof_range must be two entries in (0, {VOF_MAX}], got {micro['vof_range']}"
+        )
     solver = SolverConfig(**micro["solver"])
     grf_fiber, grf_matrix = GRFConfig(**cfg["grf_fiber"]), GRFConfig(**cfg["grf_matrix"])
     roots = None

@@ -12,7 +12,7 @@ eps = ebar - Gamma0 (C - C0) eps, reached in far fewer iterations.
 
 One iteration, from the stress spectrum sigma_hat = FFT(C:eps):
 
-    z = -Gamma0 sigma_hat            preconditioned residual (zero at DC)
+    z = -IFFT(Gamma0 sigma_hat)      preconditioned residual (zero mean)
     p = z + beta p,  beta = <z, C0:z> / <z_old, C0:z_old>
     eps += alpha p,  alpha = <z, C0:z> / <p, C:p>
     sigma = C:eps,   sigma_hat = FFT(sigma)
@@ -23,16 +23,27 @@ weights (1, 1, 2) on tensorial-shear vectors.  <z, C0:z> is taken on the
 spectrum, where it is a sum of squares; the stress is recomputed from the
 strain every iteration rather than updated, so rounding does not accumulate
 in it.  Because p has zero mean, the mean strain equals ebar at every
-iteration.
+iteration.  The inverse FFT transforms the three components of the real
+field z as two complex planes, [W0 + i W1, W2] for W = Gamma0 sigma_hat:
+the real and imaginary parts of the first plane's inverse are z0 and z1.
 
 The FFT pair is numpy's unnormalized forward / 1/(T1*T2)-normalized inverse;
 the convergence metric depends on that normalization, so it is fixed here.
 
 Memory layout: cell fields are held component-major, (3, T1, T2) and
 (3, 3, T1, T2), so the FFTs, C:eps and the Green product each run over
-contiguous planes, and the loop updates preallocated p, C:p, sigma and p_hat
-in place.  Sums reduce per plane with einsum, not BLAS, whose split of a sum
-follows the thread count.  Public (T1, T2, 3) shapes are transposed views.
+contiguous planes.  A stiffness field from assign_properties already has
+that layout, so the solve reads it without a copy.  Besides the strain and
+the search direction p, one solve holds one real scratch (C:p, alpha p,
+then C:eps, which ends as the returned stress), the stress spectrum (whose
+first two planes carry the packed inverse-FFT input) and the Green product
+(scratch for Tol): 29 real planes at its peak, 51 before the direction
+moved to real space.  The forward FFT runs in place on the spectrum buffer
+(numpy >= 2.0), bitwise equal to the out-of-place call.  The inverse gets
+no out= buffer: on random 256^2 input numpy 2.4.6's ifft2 wrote NaN into a
+separate one and errors of order 1 in place.  Sums reduce per plane with
+einsum, not BLAS, whose split of a sum follows the thread count.  Public
+(T1, T2, 3) shapes are transposed views.
 
 The Green operator and Tol use rotated-grid frequencies, which balance every
 mode of an even or odd grid, so any tolerance is reachable.  The continuous
@@ -100,7 +111,9 @@ class SolveResult:
     metadata: dict = field(default_factory=dict)
 
 
-def convergence_metric(stress_hat: np.ndarray, freqs: FreqGrid) -> float:
+def convergence_metric(
+    stress_hat: np.ndarray, freqs: FreqGrid, work: Optional[np.ndarray] = None
+) -> float:
     """Equilibrium error index of a Fourier-space stress field.
 
     Tol = sqrt( sum_xi |xi . sigma_hat(xi)|^2 / (T1*T2 * sigma_hat(0):sigma_hat(0)) )
@@ -109,15 +122,22 @@ def convergence_metric(stress_hat: np.ndarray, freqs: FreqGrid) -> float:
     (xi1*s11 + xi2*s12, xi1*s12 + xi2*s22) and the denominator contracts the
     zero-frequency stress with itself.  The grid's rotated-grid frequencies
     measure balance in their own finite-difference sense.  stress_hat is
-    (T1, T2, 3), in any memory order.
+    (T1, T2, 3), in any memory order.  work, if given, is a complex
+    (3, T1, T2) scratch that receives the residual planes instead of
+    temporaries.
     """
     s = stress_hat.transpose(2, 0, 1)
     s0 = stress_hat[0, 0]
     denom = abs(s0[0]) ** 2 + abs(s0[1]) ** 2 + 2.0 * abs(s0[2]) ** 2
     if denom == 0.0:
         raise ZeroMeanStressError("mean stress is zero; equilibrium index undefined")
-    r1 = freqs.xi1 * s[0] + freqs.xi2 * s[2]
-    r2 = freqs.xi1 * s[2] + freqs.xi2 * s[1]
+    if work is None:
+        work = np.empty(s.shape, complex)
+    r1, r2, term = work
+    np.multiply(freqs.xi1, s[0], out=r1)
+    r1 += np.multiply(freqs.xi2, s[2], out=term)
+    np.multiply(freqs.xi1, s[2], out=r2)
+    r2 += np.multiply(freqs.xi2, s[1], out=term)
     num = _sum_sq(r1) + _sum_sq(r2)
     return float(np.sqrt(num / (s.shape[1] * s.shape[2] * denom)))
 
@@ -133,20 +153,45 @@ def _apply_stiffness(c: np.ndarray, strain: np.ndarray, out: np.ndarray) -> np.n
     return np.einsum("ijxy,jxy->ixy", c, strain, out=out)
 
 
+def _stress_spectrum(c: np.ndarray, eps: np.ndarray, sigma: np.ndarray, sigma_hat: np.ndarray):
+    """sigma = C:eps and, in place in the complex buffer sigma_hat, its FFT."""
+    sigma_hat[...] = _apply_stiffness(c, eps, sigma)
+    np.fft.fft2(sigma_hat, out=sigma_hat)
+
+
+def _update_direction(p: np.ndarray, beta: float, gs_hat: np.ndarray, packed: np.ndarray):
+    """p = z + beta p in place, for z = -IFFT(gs_hat) with gs_hat = Gamma0 sigma_hat.
+
+    z is real, so its three planes are transformed as two: packed, a complex
+    (2, T1, T2) scratch, takes [W0 + i W1, W2] for W = gs_hat, and the real
+    and imaginary parts of the first plane's inverse are then -z0 and -z1.
+    """
+    np.subtract(gs_hat[0].real, gs_hat[1].imag, out=packed[0].real)
+    np.add(gs_hat[0].imag, gs_hat[1].real, out=packed[0].imag)
+    packed[1] = gs_hat[2]
+    gs = np.fft.ifft2(packed)
+    p *= beta
+    p[0] -= gs[0].real
+    p[1] -= gs[0].imag
+    p[2] -= gs[1].real
+
+
 def _contract(a: np.ndarray, b: np.ndarray) -> float:
     """sum over pixels of the tensor contraction a:b of two real component-major fields."""
     per_component = np.einsum("ixy,ixy->i", a, b)
     return float(per_component[0] + per_component[1] + 2.0 * per_component[2])
 
 
-def _reference_energy(z_hat: np.ndarray, lame0: Lame) -> float:
+def _reference_energy(z_hat: np.ndarray, lame0: Lame, work: np.ndarray) -> float:
     """sum over pixels of z:C0:z for a real field given by its (3, T1, T2) spectrum.
 
     With C0 isotropic, z:C0:z = lam0 (z11 + z22)^2 + 2 mu0 z:z; by Parseval
-    the pixel sum is the frequency sum over T1*T2.
+    the pixel sum is the frequency sum over T1*T2.  work is a complex
+    (T1, T2) scratch plane for the trace.
     """
     sq = _sum_sq(z_hat)
-    total = lame0.lam * _sum_sq(z_hat[0] + z_hat[1]) + 2.0 * lame0.mu * (
+    trace = np.add(z_hat[0], z_hat[1], out=work)
+    total = lame0.lam * _sum_sq(trace) + 2.0 * lame0.mu * (
         sq[0] + sq[1] + 2.0 * sq[2]
     )
     return float(total) / (z_hat.shape[1] * z_hat.shape[2])
@@ -206,9 +251,11 @@ def solve_unit_load(
 
     c = np.ascontiguousarray(c_field.transpose(2, 3, 0, 1))
     eps = np.repeat(macro, T1 * T2).reshape(3, T1, T2)
-    sigma, p, cp = np.empty_like(eps), np.empty_like(eps), np.empty_like(eps)
-    p_hat = np.zeros(eps.shape, complex)
-    sigma_hat = np.fft.fft2(_apply_stiffness(c, eps, sigma))
+    p = np.zeros_like(eps)
+    work = np.empty_like(eps)  # C:p, then alpha p, then C:eps (the stress)
+    sigma_hat = np.empty(eps.shape, complex)
+    gs_hat = np.empty(eps.shape, complex)  # Gamma0 sigma_hat = -FFT(z); Tol's scratch
+    _stress_spectrum(c, eps, work, sigma_hat)
 
     history = []
     mean_history = [] if config.record_history else None
@@ -217,7 +264,7 @@ def solve_unit_load(
 
     while True:
         if n_updates > 0:
-            tol_n = convergence_metric(sigma_hat.transpose(1, 2, 0), grid)
+            tol_n = convergence_metric(sigma_hat.transpose(1, 2, 0), grid, gs_hat)
             history.append(tol_n)
             if tol_n <= config.tol:
                 break
@@ -233,31 +280,28 @@ def solve_unit_load(
                     history,
                 )
 
-        # gs_hat = Gamma0 sigma_hat = -z_hat, so p = z + beta p is p_hat = beta p_hat - gs_hat.
-        gs_hat = apply_green(green.g, sigma_hat.transpose(1, 2, 0)).transpose(2, 0, 1)
-        rz_new = _reference_energy(gs_hat, green.lame0)
-        p_hat *= rz_new / rz if rz else 0.0
-        p_hat -= gs_hat
+        apply_green(green.g, sigma_hat.transpose(1, 2, 0), out=gs_hat.transpose(1, 2, 0))
+        # The stress spectrum is spent until the next FFT: it is the scratch here.
+        rz_new = _reference_energy(gs_hat, green.lame0, sigma_hat[0])
+        _update_direction(p, rz_new / rz if rz else 0.0, gs_hat, sigma_hat[:2])
         rz = rz_new
-        np.copyto(p, np.fft.ifft2(p_hat).real)
-        curvature = _contract(p, _apply_stiffness(c, p, cp))
+        curvature = _contract(p, _apply_stiffness(c, p, work))
         if curvature > 0:
-            p *= rz / curvature
-            eps += p
+            eps += np.multiply(p, rz / curvature, out=work)
         elif np.abs(p).max() > 0:
             raise NonConvergenceError(
                 f"curvature <p, C:p> = {curvature:.3e} <= 0 at iteration {n_updates + 1}: "
                 "the stiffness field is not positive definite",
                 history,
             )
-        sigma_hat = np.fft.fft2(_apply_stiffness(c, eps, sigma))
+        _stress_spectrum(c, eps, work, sigma_hat)
         n_updates += 1
         if mean_history is not None:
             mean_history.append(eps.mean(axis=(1, 2)))
 
     return SolveResult(
         strain=eps.transpose(1, 2, 0),
-        stress=sigma.transpose(1, 2, 0),
+        stress=work.transpose(1, 2, 0),
         iterations=n_updates,
         residual_history=history,
         converged=True,

@@ -87,10 +87,15 @@ class TestUsageErrors:
         "elem_size=[0.05,0.05,0.05]", "s_total=NaN", "s_total=Infinity",
         "micro.resolution=[64]", "micro.resolution=[64,64,64]", "micro.domain=[50.0]",
         "micro.nu_fiber=0.5", "micro.nu_matrix=-1",
+        "micro.vof_range=[0.7,0.8] nx=1 ny=1", "micro.vof_range=[0.0,0.5] nx=1 ny=1",
+        "micro.vof_range=[0.4] nx=1 ny=1",
     ])
     def test_invalid_multiscale_value_exits_1_before_echo(self, tmp_path, capsys, override):
         out = tmp_path / "o"
-        assert dispatch(["multiscale", "--set", override, "--out", str(out)]) == 1
+        argv = ["multiscale", "--out", str(out)]
+        for item in override.split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 1
         assert not (out / "config_echo.json").exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
@@ -154,6 +159,19 @@ class TestUsageErrors:
         argv = [command, "--out", str(out)]
         props = "fiber_props.E=10.0 fiber_props.nu=0.3 matrix_props.E=2.0 matrix_props.nu=0.3"
         for item in (cell if command == "gen-rve" else f"{cell} {props}").split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 1
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("macro", ["[1,0]", "[1,0,0,0]", "[NaN,0,0]", "[1,Infinity,0]"])
+    def test_bad_macro_strain_exits_1_without_output(self, tmp_path, capsys, macro):
+        out = tmp_path / "o"
+        argv = ["solve", "--out", str(out)]
+        for item in (
+            f"rve.uniform=1 rve.resolution=[8,8] macro_strain={macro} fiber_props.E=10.0 "
+            "fiber_props.nu=0.3 matrix_props.E=2.0 matrix_props.nu=0.3"
+        ).split():
             argv += ["--set", item]
         assert dispatch(argv) == 1
         assert not out.exists()

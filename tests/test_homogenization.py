@@ -1,12 +1,20 @@
 """Concentration tensors, homogenized stiffness, and effective bounds."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from microhom import homogenization
+from microhom.errors import NonConvergenceError
 from microhom.homogenization import (
     ASYMMETRY_CEILING,
     ASYMMETRY_FACTOR,
+    _lane_count,
+    _map_on_lanes,
     anisotropy_indicator,
     homogenized_stiffness,
     reconstruct_strain,
@@ -143,6 +151,118 @@ class TestAsymmetryWarning:
         conc = strain_concentration(contrast_34, SolverConfig(tol=1e-6), domain=DOMAIN)
         homogenized_stiffness(contrast_34, conc)
         assert not [w for w in recwarn if "asymmetry" in str(w.message)]
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _record_threads(monkeypatch, fail_loads=()):
+    """Wrap the unit-load solve: note each load's thread, and make the loads
+    in fail_loads raise NonConvergenceError at once."""
+    threads = {}
+    inner = homogenization.solve_unit_load
+
+    def recorded(c_field, macro_strain, *args, **kwargs):
+        load = int(np.flatnonzero(macro_strain)[0])
+        threads[load] = threading.current_thread()
+        if load in fail_loads:
+            raise NonConvergenceError("no convergence", [0.5, 0.25])
+        return inner(c_field, macro_strain, *args, **kwargs)
+
+    monkeypatch.setattr(homogenization, "solve_unit_load", recorded)
+    return threads
+
+
+@pytest.fixture(scope="module")
+def cell128():
+    rve = generate_fiber_rve(0.6, 3.5, 0.01, DOMAIN, (128, 128), seed=3)
+    return assign_properties(rve, IsotropicProps(85.0, 0.2), IsotropicProps(2.5, 0.35))
+
+
+class TestLanes:
+    def test_lane_rule(self, monkeypatch):
+        _cpus(monkeypatch, 8)
+        assert _lane_count(128 * 128) == 3
+        assert _lane_count(128 * 128 - 1) == 1
+        _cpus(monkeypatch, 2)
+        assert _lane_count(256 * 256) == 2
+        off_main = []
+        worker = threading.Thread(target=lambda: off_main.append(_lane_count(256 * 256)))
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive() and off_main == [1]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert _lane_count(256 * 256) == 2
+
+    def test_lanes_match_the_serial_path_bitwise(self, cell128, monkeypatch):
+        config = SolverConfig(tol=1e-6)
+        _cpus(monkeypatch, 1)
+        serial = strain_concentration(cell128, config, domain=DOMAIN)
+        _cpus(monkeypatch, 3)
+        threads = _record_threads(monkeypatch)
+        before = threading.active_count()
+        lanes = strain_concentration(cell128, config, domain=DOMAIN)
+        assert threading.active_count() == before
+        assert threads[0] is threading.main_thread()
+        assert any(t is not threading.main_thread() for t in threads.values())
+        assert lanes.a.tobytes() == serial.a.tobytes()
+        assert lanes.metadata == serial.metadata
+
+    def test_serial_off_the_main_thread(self, cell128, monkeypatch):
+        _cpus(monkeypatch, 3)
+        threads = _record_threads(monkeypatch)
+        done = []
+        worker = threading.Thread(
+            target=lambda: done.append(strain_concentration(cell128, SolverConfig(), domain=DOMAIN))
+        )
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive() and len(done) == 1
+        assert set(threads.values()) == {worker}
+
+    def test_helper_failure_names_its_load(self, cell128, monkeypatch):
+        _cpus(monkeypatch, 3)
+        threads = _record_threads(monkeypatch, fail_loads=(2,))
+        before = threading.active_count()
+        with pytest.raises(NonConvergenceError, match="^unit load 2: no convergence$") as exc:
+            strain_concentration(cell128, SolverConfig(), domain=DOMAIN)
+        assert exc.value.history == [0.5, 0.25]
+        assert threads[2] is not threading.main_thread()
+        assert threading.active_count() == before
+
+    def test_lowest_failed_load_is_raised(self, cell128, monkeypatch):
+        _cpus(monkeypatch, 3)
+        _record_threads(monkeypatch, fail_loads=(1, 2))
+        before = threading.active_count()
+        with pytest.raises(NonConvergenceError, match="^unit load 1: "):
+            strain_concentration(cell128, SolverConfig(), domain=DOMAIN)
+        assert threading.active_count() == before
+
+
+class TestMapOnLanes:
+    def test_every_index_once_under_contention(self):
+        calls = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _map_on_lanes(lambda j: calls.append(j) or 2 * j, 300, 8)
+        finally:
+            sys.setswitchinterval(switch)
+        assert results == [2 * j for j in range(300)]
+        assert sorted(calls) == list(range(300))
+
+    def test_lowest_failed_index_is_raised_after_every_lane_joins(self):
+        def task(j):
+            if j in (3, 5):
+                raise ValueError(f"item {j}")
+            return j
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="item 3"):
+            _map_on_lanes(task, 8, 4)
+        assert threading.active_count() == before
 
 
 class TestAnisotropyIndicator:

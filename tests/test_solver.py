@@ -1,5 +1,8 @@
 """Conjugate-gradient cell solver against a dense linear-system oracle and its contracts."""
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -93,6 +96,25 @@ class TestCallCounts:
             assert calls == {"fft2": n + 1, "ifft2": n, "apply_green": n}
 
 
+class TestWorkingSet:
+    def test_one_load_holds_at_most_32_real_planes(self):
+        # strain, direction and one real scratch (9 planes), the stress
+        # spectrum and the Green product (12) and the inverse FFT's output
+        # and its intermediate (8); a solve that copies the stiffness or
+        # keeps a spectral direction exceeds 32
+        domain = (50.0, 50.0)
+        rve = generate_fiber_rve(0.6, 3.5, 0.01, domain, (128, 128), seed=3)
+        c_field = assign_properties(rve, IsotropicProps(85.0, 0.2), IsotropicProps(2.5, 0.35))
+        grid, green = _operators(c_field, domain)
+        tracemalloc.start()
+        try:
+            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), domain=domain, grid=grid, green=green)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 128 * 128 * 8
+
+
 class TestSuppliedOperators:
     @pytest.mark.parametrize("which", ["grid", "green"])
     @pytest.mark.parametrize(
@@ -184,6 +206,12 @@ class TestEdges:
         assert res.converged
         assert res.iterations == 0
         assert np.all(res.strain == 0.0) and np.all(res.stress == 0.0)
+
+    def test_nonconvergence_error_pickles_with_its_history(self):
+        err = pickle.loads(pickle.dumps(NonConvergenceError("unit load 1: stalled", [1.0, 0.5])))
+        assert type(err) is NonConvergenceError
+        assert str(err) == "unit load 1: stalled"
+        assert err.history == [1.0, 0.5]
 
     def test_nonconvergence_carries_history(self):
         c_field = disc_rve(16, 4, contrast=25.0)
