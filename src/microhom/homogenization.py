@@ -8,8 +8,8 @@ product, and the volume average of C(x) A(x) is the homogenized stiffness.
 from __future__ import annotations
 
 import os
-import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,56 +61,14 @@ class ConcentrationField:
 
 def _lane_count(n_pixels: int) -> int:
     """Threads for the three unit loads of an n_pixels cell: 1 below
-    LANE_MIN_PIXELS or off the main thread, else one per CPU, at most 3."""
-    if n_pixels < LANE_MIN_PIXELS or threading.current_thread() is not threading.main_thread():
+    LANE_MIN_PIXELS, else one per CPU, at most 3."""
+    if n_pixels < LANE_MIN_PIXELS:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(len(UNIT_LOADS), cpus)
-
-
-def _map_on_lanes(task, n: int, lanes: int) -> list:
-    """[task(0), ..., task(n - 1)] on the calling thread and lanes - 1 helpers.
-
-    Each lane draws the next index in order; the caller draws index 0.  After
-    a task raises, no lane draws another, and once every helper has joined
-    the exception of the lowest failed index is raised: the one a serial
-    loop would have raised, since every lower index was drawn and succeeded.
-    """
-    results = [None] * n
-    errors = {}
-    pending = list(range(n))
-    lock = threading.Lock()
-
-    def take():
-        with lock:
-            return pending.pop(0) if pending and not errors else None
-
-    def lane(j):
-        while j is not None:
-            try:
-                results[j] = task(j)
-            except Exception as err:  # raised again on the calling thread
-                with lock:
-                    errors[j] = err
-            j = take()
-
-    first = take()
-    helpers = [threading.Thread(target=lambda: lane(take())) for _ in range(min(lanes, n) - 1)]
-    for helper in helpers:
-        helper.start()
-    try:
-        lane(first)
-    finally:
-        with lock:
-            pending.clear()
-        for helper in helpers:
-            helper.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
 
 
 def strain_concentration(
@@ -123,19 +81,19 @@ def strain_concentration(
     The frequency grid and Green operator are built once and shared by the
     three solves.
 
-    The loads run on lanes: the calling thread solves load 0 and helper
-    threads the rest, one lane per CPU up to three, as the FFTs and einsums
-    release the GIL.  Each load's arithmetic is the same on any lane, so A
-    is bitwise that of a serial solve.  Lanes are used only when the cell
-    has at least LANE_MIN_PIXELS (128^2) pixels and the call comes from the
-    main thread; otherwise the loads are solved one after another.  On 2
-    CPUs (numpy 2.4.6, contrast-34 fiber cells at tol 1e-6), this call on
-    1/2/3 lanes took 30-36/57-60/58-77 ms at 32^2, 80-100/77-93/84-92 ms at
-    64^2, 344-375/242-297/231-239 ms at 128^2 and 1710-1732/1151-1192/
-    913-967 ms at 256^2.  The dataset and plate pools already keep both
-    CPUs busy, and their workers are not the main thread: lanes nested in
-    them slowed a 64-sample 64^2 dataset on 2 workers from 3.8-4.1 s to
-    4.0-4.6 s.
+    The loads run on lanes: the calling thread solves load 0 and one helper
+    thread each of the next loads, one lane per CPU up to three, as the FFTs
+    and einsums release the GIL; a load left over runs on the caller after
+    the helpers finish.  Each load's arithmetic is the same on any lane, so
+    A is bitwise that of a serial solve.  Lanes are used only when the cell
+    has at least LANE_MIN_PIXELS (128^2) pixels; smaller cells solve the
+    loads one after another.  On 2 CPUs (numpy 2.4.6, contrast-34 fiber
+    cells at tol 1e-6), this call on 1/2/3 lanes took 30-36/57-60/58-77 ms
+    at 32^2, 80-100/77-93/84-92 ms at 64^2, 344-375/242-297/231-239 ms at
+    128^2 and 1710-1732/1151-1192/913-967 ms at 256^2.  Below the threshold
+    lanes also lose inside the dataset and plate thread pools, which keep
+    the CPUs busy already: forced into the workers of a 64-sample 64^2
+    dataset on 2 threads, they took it from 3.8-4.1 s to 4.0-4.6 s.
     """
     c_field = np.asarray(c_field, dtype=float)
     T1, T2 = c_field.shape[:2]
@@ -162,7 +120,14 @@ def strain_concentration(
             "converged": res.converged,
         }
 
-    loads = _map_on_lanes(solve, len(UNIT_LOADS), _lane_count(T1 * T2))
+    lanes = _lane_count(T1 * T2)
+    # Each helper solves one load; the caller solves load 0, then any load
+    # left over once the helpers are done (every load, on one lane).  Results
+    # are read in load order, so a failure raises the error a serial loop would.
+    with ThreadPoolExecutor(max(lanes - 1, 1)) as helpers:
+        helped = [helpers.submit(solve, j) for j in range(1, lanes)]
+        loads = [solve(0)] + [f.result() for f in helped]
+    loads += [solve(j) for j in range(lanes, len(UNIT_LOADS))]
     return ConcentrationField(
         a,
         metadata={

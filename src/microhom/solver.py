@@ -37,11 +37,13 @@ that layout, so the solve reads it without a copy.  Besides the strain and
 the search direction p, one solve holds one real scratch (C:p, alpha p,
 then C:eps, which ends as the returned stress), the stress spectrum (whose
 first two planes carry the packed inverse-FFT input) and the Green product
-(scratch for Tol): 29 real planes at its peak, 51 before the direction
-moved to real space.  The forward FFT runs in place on the spectrum buffer
-(numpy >= 2.0), bitwise equal to the out-of-place call.  The inverse gets
-no out= buffer: on random 256^2 input numpy 2.4.6's ifft2 wrote NaN into a
-separate one and errors of order 1 in place.  Sums reduce per plane with
+(scratch for Tol): 29 real planes at its peak, 33 with an unpacked
+three-plane inverse and 51 before the direction moved to real space.  The
+forward FFT runs in place on the spectrum buffer (numpy >= 2.0), bitwise
+equal to the out-of-place call.  The inverse returns a new array: numpy's
+ifft2 and irfft2 ignore out= (they pass out=None on to the transform and
+leave the buffer untouched), while ifftn(x, axes=(-2, -1), out=...) does
+write into it.  Sums reduce per plane with
 einsum, not BLAS, whose split of a sum follows the thread count.  Public
 (T1, T2, 3) shapes are transposed views.
 

@@ -1,7 +1,6 @@
 """Concentration tensors, homogenized stiffness, and effective bounds."""
 
 import os
-import sys
 import threading
 
 import numpy as np
@@ -14,7 +13,6 @@ from microhom.homogenization import (
     ASYMMETRY_CEILING,
     ASYMMETRY_FACTOR,
     _lane_count,
-    _map_on_lanes,
     anisotropy_indicator,
     homogenized_stiffness,
     reconstruct_strain,
@@ -187,11 +185,6 @@ class TestLanes:
         assert _lane_count(128 * 128 - 1) == 1
         _cpus(monkeypatch, 2)
         assert _lane_count(256 * 256) == 2
-        off_main = []
-        worker = threading.Thread(target=lambda: off_main.append(_lane_count(256 * 256)))
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive() and off_main == [1]
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert _lane_count(256 * 256) == 2
@@ -205,22 +198,17 @@ class TestLanes:
         before = threading.active_count()
         lanes = strain_concentration(cell128, config, domain=DOMAIN)
         assert threading.active_count() == before
-        assert threads[0] is threading.main_thread()
-        assert any(t is not threading.main_thread() for t in threads.values())
+        assert threads[0] is threading.current_thread()
+        assert any(t is not threading.current_thread() for t in threads.values())
         assert lanes.a.tobytes() == serial.a.tobytes()
         assert lanes.metadata == serial.metadata
 
-    def test_serial_off_the_main_thread(self, cell128, monkeypatch):
-        _cpus(monkeypatch, 3)
+    def test_each_helper_solves_one_load(self, cell128, monkeypatch):
+        _cpus(monkeypatch, 2)
         threads = _record_threads(monkeypatch)
-        done = []
-        worker = threading.Thread(
-            target=lambda: done.append(strain_concentration(cell128, SolverConfig(), domain=DOMAIN))
-        )
-        worker.start()
-        worker.join(timeout=120)
-        assert not worker.is_alive() and len(done) == 1
-        assert set(threads.values()) == {worker}
+        strain_concentration(cell128, SolverConfig(), domain=DOMAIN)
+        assert threads[0] is threads[2] is threading.current_thread()
+        assert threads[1] is not threading.current_thread()
 
     def test_helper_failure_names_its_load(self, cell128, monkeypatch):
         _cpus(monkeypatch, 3)
@@ -229,7 +217,7 @@ class TestLanes:
         with pytest.raises(NonConvergenceError, match="^unit load 2: no convergence$") as exc:
             strain_concentration(cell128, SolverConfig(), domain=DOMAIN)
         assert exc.value.history == [0.5, 0.25]
-        assert threads[2] is not threading.main_thread()
+        assert threads[2] is not threading.current_thread()
         assert threading.active_count() == before
 
     def test_lowest_failed_load_is_raised(self, cell128, monkeypatch):
@@ -240,29 +228,12 @@ class TestLanes:
             strain_concentration(cell128, SolverConfig(), domain=DOMAIN)
         assert threading.active_count() == before
 
-
-class TestMapOnLanes:
-    def test_every_index_once_under_contention(self):
-        calls = []
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = _map_on_lanes(lambda j: calls.append(j) or 2 * j, 300, 8)
-        finally:
-            sys.setswitchinterval(switch)
-        assert results == [2 * j for j in range(300)]
-        assert sorted(calls) == list(range(300))
-
-    def test_lowest_failed_index_is_raised_after_every_lane_joins(self):
-        def task(j):
-            if j in (3, 5):
-                raise ValueError(f"item {j}")
-            return j
-
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="item 3"):
-            _map_on_lanes(task, 8, 4)
-        assert threading.active_count() == before
+    def test_no_load_is_solved_after_a_lower_one_fails(self, cell128, monkeypatch):
+        _cpus(monkeypatch, 2)
+        threads = _record_threads(monkeypatch, fail_loads=(1,))
+        with pytest.raises(NonConvergenceError, match="^unit load 1: "):
+            strain_concentration(cell128, SolverConfig(), domain=DOMAIN)
+        assert sorted(threads) == [0, 1]
 
 
 class TestAnisotropyIndicator:
