@@ -6,16 +6,27 @@ finite-difference-consistent discretization that suppresses ringing and,
 unlike the continuous frequencies of the original Moulinec-Suquet scheme,
 balances every mode of an even grid.
 
-Storage convention: the per-frequency 3x3 matrices are the symmetric Voigt
-form in which both the shear row and the shear column carry the pair factor 2.
-Contracting such a matrix with a tensorial-shear 3-vector therefore requires
-halving the third component of the plain matrix-vector product; that is what
-:func:`apply_green` does.  The stiffness matrices of :mod:`.voigt` only carry
-the column factor, so they contract by plain product.
+For an isotropic reference medium C0 the operator factors through the
+acoustic tensor K0(xi) = C0 : (xi (x) xi), a symmetric 2x2 matrix per
+frequency: with r = xi . sigma_hat the balance residual of a stress
+spectrum (the quantity the equilibrium index Tol measures) and d = N r for
+N = K0^-1,
 
-Memory layout: ``GreenField.g`` is a (T1, T2, 3, 3) view of a component-major
-(3, 3, T1, T2) array, so each entry is one contiguous plane for the einsum of
-:func:`apply_green`; component-last arrays work too, through strided access.
+    Gamma0 sigma_hat = sym(xi (x) d).
+
+So GreenField stores the three distinct entries of N, not the nine of a
+3x3 Voigt matrix, and :func:`apply_green` starts from r.  The pairing of d
+with r is the reference energy: for z = -IFFT(Gamma0 sigma_hat), the pixel
+sum of z : C0 : z is sum Re(conj(d) . r) / (T1*T2), so apply_green returns
+that sum, taken before it overwrites r with Gamma0 sigma_hat.
+
+Storage: every plane is component-major, (k, T1, T2), and complex with a
+zero imaginary part.  numpy has no real-by-complex multiply loop: a real
+plane times a spectrum is cast to complex on every call, which costs about
+as much as the product itself.  The frequency planes (xi1, xi2) sit beside
+N for the same reason.  All five are built once per cell and shared by
+every load and lane; the products they enter equal, bit for bit, those of
+the real planes (xi + 0j times s is xi times s).
 """
 
 from __future__ import annotations
@@ -44,13 +55,21 @@ class FreqGrid:
 
 @dataclass(frozen=True)
 class GreenField:
-    """Precomputed Green operator: one symmetric 3x3 matrix per frequency.
+    """Precomputed Green operator of one reference medium on one grid.
 
-    Immutable after construction; safe to share across concurrent solves.
+    xi holds the frequency planes (xi1, xi2) and n the entries (N11, N22,
+    N12) of the inverse acoustic tensor, all complex with zero imaginary
+    part; n is exactly zero where |xi| == 0.  Immutable after construction;
+    safe to share across concurrent solves.
     """
 
-    g: np.ndarray  # (T1, T2, 3, 3)
+    xi: np.ndarray  # (2, T1, T2) complex
+    n: np.ndarray  # (3, T1, T2) complex
     lame0: Lame
+
+    @property
+    def shape(self):
+        return self.n.shape[1:]
 
 
 def frequency_vector(T: int, h: float) -> np.ndarray:
@@ -108,56 +127,69 @@ def make_freq_grid(resolution, domain, scheme: str = ROTATED) -> FreqGrid:
 def green_operator(grid: FreqGrid, lame0: Lame) -> GreenField:
     """Assemble the periodic isotropic Green operator for a reference medium.
 
-    At nonzero frequency,
+    The acoustic tensor K0 = mu0 |xi|^2 I + (lam0 + mu0) xi xi^T has the
+    inverse
 
-        G0 = (1/(4*mu0)) * G1 + ((mu0+lam0)/(mu0*(2*mu0+lam0))) * G2
+        N = (1/mu0) I / |xi|^2 - ((lam0 + mu0) / (mu0 (lam0 + 2 mu0))) xi xi^T / |xi|^4
 
-    with the symmetric Voigt matrices
-
-        G1 = [[4 x1^2,  0,      4 x1 x2 ],          G2 = -[[x1^4,      x1^2 x2^2, 2 x1^3 x2],
-              [0,       4 x2^2, 4 x1 x2 ],  / |x|^2       [x1^2 x2^2, x2^4,      2 x1 x2^3],   / |x|^4
-              [4 x1 x2, 4 x1 x2, 4|x|^2 ]]               [2 x1^3 x2, 2 x1 x2^3, 4 x1^2 x2^2]]
-
-    that is, G1 = 4 (u u^T + v v^T) and G2 = -w w^T for u = (x1, 0, x2),
-    v = (0, x2, x1) and w = (x1^2, x2^2, 2 x1 x2), so G0 is one weighted sum of
-    outer products, written straight into component-major planes.
-    Frequencies with |xi| == 0 (the DC bin, plus the Nyquist corner of an
-    even grid) have u = v = w = 0 and so get the zero matrix.
+    at nonzero frequency.  Frequencies with |xi| == 0 (the DC bin, plus the
+    Nyquist corner of an even grid) get N = 0, so Gamma0 vanishes there.
     """
     lam0, mu0 = lame0.lam, lame0.mu
-    if 2.0 * mu0 + lam0 == 0.0:
-        raise DegenerateMediumError("reference medium has 2*mu0 + lam0 == 0")
+    if mu0 == 0.0 or 2.0 * mu0 + lam0 == 0.0:
+        raise DegenerateMediumError("reference medium has mu0 == 0 or 2*mu0 + lam0 == 0")
     x1, x2 = grid.xi1, grid.xi2
     nsq = x1 * x1 + x2 * x2
-    inv = 1.0 / np.where(nsq == 0.0, 1.0, nsq)
-    zero = np.zeros_like(x1)
-    uvw = np.array([[x1, zero, x2], [zero, x2, x1], [x1 * x1, x2 * x2, 2.0 * x1 * x2]])
-    c1 = 1.0 / (4.0 * mu0)
-    c2 = (mu0 + lam0) / (mu0 * (2.0 * mu0 + lam0))
-    weights = np.array([4.0 * c1 * inv, 4.0 * c1 * inv, -c2 * inv * inv])
-    g = np.einsum("kxy,kixy,kjxy->ijxy", weights, uvw, uvw)
+    inv = np.divide(1.0, nsq, out=np.zeros_like(nsq), where=nsq != 0.0)
+    a = inv / mu0
+    b = ((mu0 + lam0) / (mu0 * (2.0 * mu0 + lam0))) * inv * inv
+    xi = np.zeros((2,) + x1.shape, complex)
+    xi.real = x1, x2
+    n = np.zeros((3,) + x1.shape, complex)
+    n.real = a - b * x1 * x1, a - b * x2 * x2, -b * x1 * x2
+    return GreenField(xi, n, lame0)
 
-    return GreenField(g.transpose(2, 3, 0, 1), lame0)
 
+def apply_green(green: GreenField, residual: np.ndarray, d: np.ndarray = None) -> np.ndarray:
+    """Apply Gamma0, in place, to stress spectra given by their balance residuals.
 
-def apply_green(g: np.ndarray, field: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """Contract the stored Green matrices with a tensorial-shear vector field.
+    residual: (L, 2, T1, T2) complex, r = xi . sigma_hat of one stress
+    spectrum per leading index.  It is overwritten with Gamma0 sigma_hat =
+    sym(xi (x) d), packed for one inverse FFT of a real strain field:
 
-    g (T1, T2, 3, 3) and field (T1, T2, 3) may be in any memory order; a new
-    result is component-major in memory when both are.  out, if given, is a
-    (T1, T2, 3) array that receives the result and is returned.  The
-    symmetric storage doubles the shear row as well as the shear column, so
-    the tensor contraction is the plain product with its third component
-    halved.
+        residual[:, 0] = G11 + i G22,    residual[:, 1] = G12,
+
+    with G12 the tensorial shear.  G11, G22 and G12 are Hermitian spectra, so
+    the real and imaginary parts of IFFT(residual[:, 0]) are the inverse
+    transforms of G11 and G22.  d, if given, an (L, 2, T1, T2) complex
+    buffer, receives d = N r.
+
+    Returns the (L,) sums over frequencies of Re(conj(d) . r): T1*T2 times
+    the pixel sum of z : C0 : z for z = -IFFT(Gamma0 sigma_hat), taken here
+    because r is gone afterwards.  Each field's arithmetic is the same
+    whatever L.
     """
-    major = np.einsum(
-        "ijxy,jxy->ixy",
-        g.transpose(2, 3, 0, 1),
-        field.transpose(2, 0, 1),
-        out=None if out is None else out.transpose(2, 0, 1),
-    )
-    major[2] *= 0.5
-    return major.transpose(1, 2, 0)
+    if d is None:
+        d = np.empty_like(residual)
+    xi1, xi2 = green.xi
+    n12 = green.n[2]
+    d1, d2 = d[:, 0], d[:, 1]
+    packed, shear = residual[:, 0], residual[:, 1]
+    # d = [N11 r1, N22 r2] + N12 [r2, r1]
+    np.multiply(green.n[:2], residual, out=d)
+    term = np.multiply(n12, residual[:, 1])
+    d1 += term
+    d2 += np.multiply(n12, residual[:, 0], out=term)
+    per_component = np.einsum("lcxy,lcxy->lc", d.view(float), residual.view(float))
+    energy = per_component[:, 0] + per_component[:, 1]
+    # [xi1 d1 + i xi2 d2, (xi1 d2 + xi2 d1) / 2]
+    np.multiply(xi1, d, out=residual)
+    np.multiply(xi2, d2, out=term)
+    packed.real -= term.imag
+    packed.imag += term.real
+    shear += np.multiply(xi2, d1, out=term)
+    shear *= 0.5
+    return energy
 
 
 def reference_material(lam_grid: np.ndarray, mu_grid: np.ndarray) -> Lame:

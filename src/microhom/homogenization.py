@@ -71,6 +71,40 @@ def _lane_count(n_pixels: int) -> int:
     return min(len(UNIT_LOADS), cpus)
 
 
+def _load_record(j: int, history: list) -> dict:
+    """The metadata entry of unit load j, converged after len(history) iterations."""
+    return {
+        "load": j,
+        "iterations": len(history),
+        "residual": history[-1] if history else 0.0,
+        "converged": True,
+    }
+
+
+def _solve_on_lanes(c_field, config, domain, grid, green, a, lanes) -> list:
+    """Solve the unit loads one per lane into the columns of a; return their records.
+
+    Each helper solves one load; the caller solves load 0, then any load
+    left over once the helpers are done.  Results are read in load order, so
+    a failure raises the error a serial loop would.
+    """
+
+    def solve(j):
+        try:
+            res = solve_unit_load(
+                c_field, UNIT_LOADS[j], config, domain=domain, grid=grid, green=green
+            )
+        except NonConvergenceError as err:
+            raise NonConvergenceError(f"unit load {j}: {err}", err.history) from err
+        a[..., :, j] = res.strain
+        return _load_record(j, res.residual_history)
+
+    with ThreadPoolExecutor(lanes - 1) as helpers:
+        helped = [helpers.submit(solve, j) for j in range(1, lanes)]
+        loads = [solve(0)] + [f.result() for f in helped]
+    return loads + [solve(j) for j in range(lanes, len(UNIT_LOADS))]
+
+
 def strain_concentration(
     c_field: np.ndarray, config: SolverConfig, domain=None
 ) -> ConcentrationField:
@@ -81,19 +115,23 @@ def strain_concentration(
     The frequency grid and Green operator are built once and shared by the
     three solves.
 
-    The loads run on lanes: the calling thread solves load 0 and one helper
-    thread each of the next loads, one lane per CPU up to three, as the FFTs
-    and einsums release the GIL; a load left over runs on the caller after
-    the helpers finish.  Each load's arithmetic is the same on any lane, so
-    A is bitwise that of a serial solve.  Lanes are used only when the cell
-    has at least LANE_MIN_PIXELS (128^2) pixels; smaller cells solve the
-    loads one after another.  On 2 CPUs (numpy 2.4.6, contrast-34 fiber
-    cells at tol 1e-6), this call on 1/2/3 lanes took 30-36/57-60/58-77 ms
-    at 32^2, 80-100/77-93/84-92 ms at 64^2, 344-375/242-297/231-239 ms at
-    128^2 and 1710-1732/1151-1192/913-967 ms at 256^2.  Below the threshold
+    On one lane, the three loads go to solve_unit_load as one stack and are
+    solved in lockstep, each numpy call covering every load still active.
+    On more lanes, the calling thread solves load 0 and one helper thread
+    each of the next loads, one lane per CPU up to three, as the FFTs and
+    einsums release the GIL; a load left over runs on the caller after the
+    helpers finish.  Each load's arithmetic is the same on any lane and in
+    the stack, so A is bitwise the same on every path.  Lanes are used only
+    when the cell has at least LANE_MIN_PIXELS (128^2) pixels; every smaller
+    cell, and so every cell of the dataset and plate pools, takes the
+    lockstep stack.  On 2 CPUs (numpy 2.4.6, contrast-34 fiber cells at tol
+    1e-6, ranges over runs), this call on 1/2/3 lanes took 16-28/49-65/62-79
+    ms at 32^2, 57-85/77-100/71-95 ms at 64^2, 300-369/175-369/158-209 ms at
+    128^2 and 1373-1517/861-1032/694-841 ms at 256^2.  Below the threshold
     lanes also lose inside the dataset and plate thread pools, which keep
     the CPUs busy already: forced into the workers of a 64-sample 64^2
-    dataset on 2 threads, they took it from 3.8-4.1 s to 4.0-4.6 s.
+    dataset on 2 threads, they took it from 3.8-4.1 s to 4.0-4.6 s
+    (measured before the lockstep stack).
     """
     c_field = np.asarray(c_field, dtype=float)
     T1, T2 = c_field.shape[:2]
@@ -105,29 +143,19 @@ def strain_concentration(
 
     a = np.empty((T1, T2, 3, 3))
 
-    def solve(j):
+    lanes = _lane_count(T1 * T2)
+    if lanes == 1:
         try:
             res = solve_unit_load(
-                c_field, UNIT_LOADS[j], config, domain=domain, grid=grid, green=green
+                c_field, UNIT_LOADS, config, domain=domain, grid=grid, green=green
             )
         except NonConvergenceError as err:
-            raise NonConvergenceError(f"unit load {j}: {err}", err.history) from err
-        a[..., :, j] = res.strain
-        return {
-            "load": j,
-            "iterations": res.iterations,
-            "residual": res.residual_history[-1] if res.residual_history else 0.0,
-            "converged": res.converged,
-        }
-
-    lanes = _lane_count(T1 * T2)
-    # Each helper solves one load; the caller solves load 0, then any load
-    # left over once the helpers are done (every load, on one lane).  Results
-    # are read in load order, so a failure raises the error a serial loop would.
-    with ThreadPoolExecutor(max(lanes - 1, 1)) as helpers:
-        helped = [helpers.submit(solve, j) for j in range(1, lanes)]
-        loads = [solve(0)] + [f.result() for f in helped]
-    loads += [solve(j) for j in range(lanes, len(UNIT_LOADS))]
+            # the stack's "load j: " names unit load j
+            raise NonConvergenceError(f"unit {err}", err.history) from err
+        a[...] = res.strain.transpose(1, 2, 3, 0)
+        loads = [_load_record(j, res.residual_history[j]) for j in range(len(UNIT_LOADS))]
+    else:
+        loads = _solve_on_lanes(c_field, config, domain, grid, green, a, lanes)
     return ConcentrationField(
         a,
         metadata={

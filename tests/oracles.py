@@ -4,8 +4,6 @@ import numpy as np
 
 from microhom.errors import NonConvergenceError, ZeroMeanStressError
 from microhom.green import (
-    apply_green,
-    green_operator,
     lame_fields_from_stiffness,
     make_freq_grid,
     reference_material,
@@ -13,6 +11,32 @@ from microhom.green import (
 from microhom.microstructure import _min_image, assign_properties
 from microhom.solver import SolveResult
 from microhom.voigt import IsotropicProps, stiffness_from_lame
+
+
+def green_matrices_reference(grid, lame0):
+    """The nine-entry Green operator: one symmetric 3x3 Voigt matrix per frequency.
+
+    At nonzero frequency,
+
+        G0 = (1/(4*mu0)) * G1 + ((mu0+lam0)/(mu0*(2*mu0+lam0))) * G2
+
+    with G1 = 4 (u u^T + v v^T) / |x|^2 and G2 = -w w^T / |x|^4 for
+    u = (x1, 0, x2), v = (0, x2, x1) and w = (x1^2, x2^2, 2 x1 x2).  Both the
+    shear row and the shear column carry the pair factor 2, so the tensor
+    contraction with a tensorial-shear vector halves the product's third
+    component (_ref_apply_green).  Frequencies with |xi| == 0 get the zero
+    matrix.  Returns (T1, T2, 3, 3).
+    """
+    lam0, mu0 = lame0.lam, lame0.mu
+    x1, x2 = grid.xi1, grid.xi2
+    nsq = x1 * x1 + x2 * x2
+    inv = 1.0 / np.where(nsq == 0.0, 1.0, nsq)
+    zero = np.zeros_like(x1)
+    uvw = np.array([[x1, zero, x2], [zero, x2, x1], [x1 * x1, x2 * x2, 2.0 * x1 * x2]])
+    c1 = 1.0 / (4.0 * mu0)
+    c2 = (mu0 + lam0) / (mu0 * (2.0 * mu0 + lam0))
+    weights = np.array([4.0 * c1 * inv, 4.0 * c1 * inv, -c2 * inv * inv])
+    return np.einsum("kxy,kixy,kjxy->xyij", weights, uvw, uvw)
 
 
 def dense_fixed_point_solution(c_field, macro, domain):
@@ -25,14 +49,14 @@ def dense_fixed_point_solution(c_field, macro, domain):
     T1, T2 = c_field.shape[:2]
     n = T1 * T2 * 3
     grid = make_freq_grid((T1, T2), domain)
-    lam, mu = lame_fields_from_stiffness(c_field)
-    green = green_operator(grid, reference_material(lam, mu))
-    dc = c_field - stiffness_from_lame(green.lame0)
+    lame0 = reference_material(*lame_fields_from_stiffness(c_field))
+    g = green_matrices_reference(grid, lame0)
+    dc = c_field - stiffness_from_lame(lame0)
 
     def apply_map(vec):
         e = vec.reshape(T1, T2, 3)
         tau = np.einsum("xyij,xyj->xyi", dc, e)
-        upd = apply_green(green.g, np.fft.fft2(tau, axes=(0, 1)))
+        upd = _ref_apply_green(g, np.fft.fft2(tau, axes=(0, 1)))
         return np.fft.ifft2(upd, axes=(0, 1)).reshape(n)
 
     m = np.empty((n, n))
@@ -83,9 +107,12 @@ def _ref_energy(z_hat, lame0):
 
 def cg_solve_reference(c_field, macro_strain, config, grid, green):
     """The conjugate-gradient cell solve written component-last, one einsum
-    per tensor product over (T1, T2, 3) fields with fresh temporaries: the
-    same iteration as solver.solve_unit_load in its plainest layout."""
+    per tensor product over (T1, T2, 3) fields with fresh temporaries, with
+    the nine-entry Green matrices and the energy of the Green product taken
+    by its isotropic formula: the same iteration as solver.solve_unit_load
+    in its plainest layout."""
     T1, T2 = c_field.shape[:2]
+    g = green_matrices_reference(grid, green.lame0)
     macro = np.asarray(macro_strain, dtype=float).reshape(3)
     eps = np.broadcast_to(macro, (T1, T2, 3)).copy()
     sigma = _ref_stiffness(c_field, eps)
@@ -104,7 +131,7 @@ def cg_solve_reference(c_field, macro_strain, config, grid, green):
             if not np.isfinite(tol_n) or n_updates >= config.max_iter:
                 raise NonConvergenceError(f"Tol = {tol_n} after {n_updates} iterations", history)
 
-        z_hat = -_ref_apply_green(green.g, sigma_hat)
+        z_hat = -_ref_apply_green(g, sigma_hat)
         rz_new = _ref_energy(z_hat, green.lame0)
         p_hat = z_hat if rz == 0.0 else z_hat + (rz_new / rz) * p_hat
         rz = rz_new

@@ -36,6 +36,12 @@ def two_phase():
     return c_field, conc
 
 
+@pytest.fixture(scope="module")
+def cell32():
+    rve = generate_fiber_rve(0.5, 3.5, 0.01, DOMAIN, (32, 32), seed=2)
+    return assign_properties(rve, IsotropicProps(85.0, 0.2), IsotropicProps(2.5, 0.35))
+
+
 class TestStrainConcentration:
     def test_homogeneous_identity(self):
         c = stiffness_from_enu(IsotropicProps(7.0, 0.25))
@@ -56,6 +62,34 @@ class TestStrainConcentration:
     def test_mean_is_identity(self, two_phase):
         _, conc = two_phase
         assert np.abs(conc.a.mean(axis=(0, 1)) - np.eye(3)).max() <= 1e-8
+
+    def test_one_lane_solves_the_loads_in_one_lockstep_call(self, cell32, monkeypatch):
+        stacks = []
+        inner = homogenization.solve_unit_load
+
+        def recorded(c_field, macro_strain, *args, **kwargs):
+            stacks.append(np.array(macro_strain))
+            return inner(c_field, macro_strain, *args, **kwargs)
+
+        monkeypatch.setattr(homogenization, "solve_unit_load", recorded)
+        conc = strain_concentration(cell32, SolverConfig(), domain=DOMAIN)
+        assert len(stacks) == 1 and np.array_equal(stacks[0], np.eye(3))
+        for j, load in enumerate(np.eye(3)):
+            one = inner(cell32, load, SolverConfig(), domain=DOMAIN)
+            assert conc.a[..., :, j].tobytes() == one.strain.tobytes()
+            assert conc.metadata["loads"][j]["iterations"] == one.iterations
+
+    def test_lockstep_failure_names_its_unit_load(self, cell32):
+        # a real failure: an indefinite pixel stops every load on a
+        # non-positive curvature; the error is unit load 0's, as in a serial loop
+        c_field = cell32.copy()
+        c_field[3, 3, 0, 0] *= -1.0
+        with pytest.raises(NonConvergenceError) as want:
+            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), domain=DOMAIN)
+        with pytest.raises(NonConvergenceError, match="^unit load 0: ") as got:
+            strain_concentration(c_field, SolverConfig(), domain=DOMAIN)
+        assert str(got.value) == f"unit load 0: {want.value}"
+        assert got.value.history == want.value.history
 
 
 class TestReconstruct:

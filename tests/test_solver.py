@@ -19,7 +19,7 @@ from microhom.green import (
 )
 from microhom.homogenization import strain_concentration
 from microhom.microstructure import assign_properties, generate_fiber_rve
-from microhom.solver import SolverConfig, convergence_metric, solve_unit_load
+from microhom.solver import SolveResult, SolverConfig, convergence_metric, solve_unit_load
 from microhom.voigt import IsotropicProps, Lame, stiffness_from_enu, stiffness_from_lame
 
 
@@ -52,8 +52,9 @@ def _operators(c_field, domain):
 
 
 class TestComponentLastReference:
-    """The component-major loop against the same iteration written over
-    component-last fields; T1 != T2 catches swapped axes."""
+    """The component-major loop, one load at a time and as a lockstep stack,
+    against the same iteration written over component-last fields; T1 != T2
+    catches swapped axes."""
 
     @pytest.mark.parametrize("shape, radius", [((24, 40), 7), ((17, 16), 4)])
     def test_same_iterates(self, shape, radius):
@@ -61,14 +62,131 @@ class TestComponentLastReference:
         domain = (float(shape[0]), float(shape[1]))
         grid, green = _operators(c_field, domain)
         config = SolverConfig()
-        for load in np.eye(3):
-            res = solve_unit_load(c_field, load, config, domain=domain, grid=grid, green=green)
+        stack = solve_unit_load(c_field, np.eye(3), config, domain=domain, grid=grid, green=green)
+        for j, load in enumerate(np.eye(3)):
             ref = cg_solve_reference(c_field, load, config, grid, green)
-            assert res.iterations == ref.iterations
-            assert_allclose(res.residual_history, ref.residual_history, rtol=1e-10)
-            for got, want in ((res.strain, ref.strain), (res.stress, ref.stress)):
-                assert got.shape == want.shape
-                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            one = solve_unit_load(c_field, load, config, domain=domain, grid=grid, green=green)
+            stacked = SolveResult(
+                stack.strain[j], stack.stress[j], len(stack.residual_history[j]),
+                stack.residual_history[j], True,
+            )
+            for res in (one, stacked):
+                assert res.iterations == ref.iterations
+                assert_allclose(res.residual_history, ref.residual_history, rtol=1e-10)
+                for got, want in ((res.strain, ref.strain), (res.stress, ref.stress)):
+                    assert got.shape == want.shape
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+class TestLockstep:
+    """A stack of mean strains against one solve per load, bitwise."""
+
+    @pytest.mark.parametrize(
+        "shape, radius",
+        [((16, 16), 4), ((17, 15), 4), ((24, 40), 7)],
+        ids=["even", "odd", "T1!=T2"],
+    )
+    def test_stack_equals_separate_solves_bitwise(self, shape, radius):
+        c_field = disc_rve(shape, radius, contrast=34.0)
+        # a zero load rides along with no iterations of its own
+        loads = np.array([[1.0, 0, 0], [0, 0, 1], [0, 0, 0], [0.3, -0.2, 0.5], [0, 1, 0]])
+        config = SolverConfig(tol=1e-9, record_history=True)
+        stack = solve_unit_load(c_field, loads, config)
+        assert stack.strain.shape == stack.stress.shape == (5,) + shape + (3,)
+        counts = []
+        for j, load in enumerate(loads):
+            one = solve_unit_load(c_field, load, config)
+            assert stack.strain[j].tobytes() == one.strain.tobytes()
+            assert stack.stress[j].tobytes() == one.stress.tobytes()
+            assert stack.residual_history[j] == one.residual_history
+            assert len(stack.residual_history[j]) == one.iterations
+            if one.iterations:
+                assert stack.mean_strain_history[j].tobytes() == one.mean_strain_history.tobytes()
+            counts.append(one.iterations)
+        assert counts[2] == 0 and len(set(counts)) > 2
+        assert stack.iterations == max(counts)
+
+    def test_all_zero_stack(self):
+        res = solve_unit_load(disc_rve(16, 4, contrast=10.0), np.zeros((2, 3)), SolverConfig())
+        assert res.iterations == 0 and res.residual_history == [[], []]
+        assert res.strain.shape == (2, 16, 16, 3) and not res.strain.any() and not res.stress.any()
+
+    @pytest.mark.parametrize("bad", [np.ones((2, 4)), np.ones((2, 3, 1))])
+    def test_rejects_other_shapes(self, bad):
+        with pytest.raises(DomainError, match="macro strain"):
+            solve_unit_load(disc_rve(16, 4, contrast=10.0), bad, SolverConfig())
+
+
+class TestLockstepFailures:
+    """Real failures in a stack raise what a serial loop over its loads would."""
+
+    @staticmethod
+    def _indefinite_cell():
+        # one pixel with lam = -1.5 mu: each load meets a non-positive
+        # curvature, the load (1, 1, 0) after 5 iterations, (1, -1, 0) after 9
+        c_field = disc_rve(16, 4, contrast=10.0)
+        c_field[3, 3] = stiffness_from_lame(Lame(-1.5, 1.0))
+        return c_field
+
+    @staticmethod
+    def _error(c_field, load, config):
+        with pytest.raises(NonConvergenceError) as exc:
+            solve_unit_load(c_field, load, config)
+        return exc.value
+
+    def test_a_higher_load_failing_first_does_not_pre_empt_a_lower_one(self):
+        c_field, config = self._indefinite_cell(), SolverConfig(tol=1e-8)
+        early, late = [1.0, 1.0, 0.0], [1.0, -1.0, 0.0]
+        want = self._error(c_field, late, config)
+        assert len(self._error(c_field, early, config).history) < len(want.history)
+        got = self._error(c_field, [late, early], config)
+        assert str(got) == f"load 0: {want}" and "not positive definite" in str(got)
+        assert got.history == want.history
+
+    def test_a_failed_load_ends_the_loads_above_it(self, monkeypatch):
+        c_field, config = self._indefinite_cell(), SolverConfig(tol=1e-8)
+        early, late = [1.0, 1.0, 0.0], [1.0, -1.0, 0.0]
+        want = self._error(c_field, early, config)
+        calls = []
+        inner = solver.apply_green
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "apply_green", counted)
+        got = self._error(c_field, [early, late], config)
+        assert str(got) == f"load 0: {want}" and got.history == want.history
+        # the load above stopped with load 0: it ran no Green application after it
+        assert len(calls) == len(want.history) + 1
+
+    def test_loads_failing_in_the_same_iteration_raise_the_lowest(self):
+        # a load and its double have iterates that differ by the exact factor
+        # 2, so both meet the non-positive curvature in the same iteration
+        c_field, config = self._indefinite_cell(), SolverConfig(tol=1e-8)
+        double, single = [2.0, 2.0, 0.0], [1.0, 1.0, 0.0]
+        want = self._error(c_field, double, config)
+        assert str(want) != str(self._error(c_field, single, config))
+        got = self._error(c_field, [double, single], config)
+        assert str(got) == f"load 0: {want}" and got.history == want.history
+
+    def test_the_cap_fails_the_lowest_unconverged_load(self):
+        c_field = disc_rve((24, 40), 7, contrast=34.0)
+        iterations = [
+            solve_unit_load(c_field, load, SolverConfig(tol=1e-9)).iterations for load in np.eye(3)
+        ]
+        assert iterations[2] < iterations[1]  # the shear load converges first
+        config = SolverConfig(tol=1e-9, max_iter=iterations[2])
+        want = self._error(c_field, [0, 1, 0], config)
+        got = self._error(c_field, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], config)
+        assert str(got) == f"load 1: {want}" and got.history == want.history
+
+    def test_non_finite_tol_fails_each_load_at_once(self):
+        c_field = disc_rve(16, 4, contrast=10.0)
+        c_field[3, 3, 0, 0] = np.nan
+        got = self._error(c_field, np.eye(3), SolverConfig())
+        assert str(got).startswith("load 0: Tol = nan after 1 iterations")
+        assert len(got.history) == 1 and not np.isfinite(got.history[0])
 
 
 class TestCallCounts:
@@ -88,7 +206,9 @@ class TestCallCounts:
         counted(np.fft, "ifft2")
         counted(solver, "apply_green")
         c_field = disc_rve(16, 4, contrast=10.0)
-        for load in np.eye(3):
+        # one load at a time, then all three in lockstep: a stack's iterations
+        # count lockstep iterations, each one Green application over the stack
+        for load in [*np.eye(3), np.eye(3)]:
             for key in calls:
                 calls[key] = 0
             n = solve_unit_load(c_field, load, SolverConfig()).iterations
@@ -97,22 +217,39 @@ class TestCallCounts:
 
 
 class TestWorkingSet:
-    def test_one_load_holds_at_most_32_real_planes(self):
-        # strain, direction and one real scratch (9 planes), the stress
-        # spectrum and the Green product (12) and the inverse FFT's output
-        # and its intermediate (8); a solve that copies the stiffness or
-        # keeps a spectral direction exceeds 32
+    @pytest.fixture(scope="class")
+    def cell128(self):
         domain = (50.0, 50.0)
         rve = generate_fiber_rve(0.6, 3.5, 0.01, domain, (128, 128), seed=3)
         c_field = assign_properties(rve, IsotropicProps(85.0, 0.2), IsotropicProps(2.5, 0.35))
-        grid, green = _operators(c_field, domain)
+        return c_field, domain, _operators(c_field, domain)
+
+    @staticmethod
+    def _peak_planes(cell128, loads):
+        c_field, domain, (grid, green) = cell128
         tracemalloc.start()
         try:
-            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), domain=domain, grid=grid, green=green)
+            solve_unit_load(c_field, loads, SolverConfig(), domain=domain, grid=grid, green=green)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32 * 128 * 128 * 8
+        return peak / (128 * 128 * 8)
+
+    def test_one_load_holds_at_most_32_real_planes(self, cell128):
+        # strain, direction and one real scratch (9 planes), the stress
+        # spectrum and the residual (10) and the inverse FFT's output and
+        # its intermediate (8); a solve that copies the stiffness, keeps a
+        # spectral direction or rebuilds operator planes exceeds 32
+        assert self._peak_planes(cell128, [1, 0, 0]) <= 32
+
+    def test_three_loads_in_lockstep_hold_at_most_3_x_32_real_planes(self, cell128):
+        assert self._peak_planes(cell128, np.eye(3)) <= 3 * 32
+
+    def test_green_operator_holds_three_planes(self, cell128):
+        # N's three distinct entries beside the two frequency planes, where
+        # the nine-entry Voigt matrices took nine
+        green = cell128[2][1]
+        assert green.n.shape == (3, 128, 128) and green.xi.shape == (2, 128, 128)
 
 
 class TestSuppliedOperators:
@@ -241,6 +378,14 @@ class TestEdges:
         stress = np.broadcast_to([2.0, 1.0, 0.3], (8, 8, 3))
         stress_hat = np.fft.fft2(stress, axes=(0, 1))
         assert convergence_metric(stress_hat, grid) <= 1e-14
+
+    def test_metric_recomputes_the_solvers_tol(self):
+        # convergence_metric and the solve share the residual and its sum
+        c_field = disc_rve((17, 16), 4, contrast=34.0)
+        grid = make_freq_grid((17, 16), (17.0, 16.0))
+        res = solve_unit_load(c_field, [0.3, -0.2, 0.5], SolverConfig(), domain=(17.0, 16.0))
+        stress_hat = np.fft.fft2(np.ascontiguousarray(res.stress.transpose(2, 0, 1)))
+        assert convergence_metric(stress_hat.transpose(1, 2, 0), grid) == res.residual_history[-1]
 
 
 class TestLaminateClosedForm:
