@@ -7,7 +7,6 @@ product, and the volume average of C(x) A(x) is the homogenized stiffness.
 
 from __future__ import annotations
 
-import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ _SHEAR_COLUMN = np.array([1.0, 1.0, 2.0])
 ASYMMETRY_FACTOR = 10.0
 ASYMMETRY_CEILING = 1e-3
 
-# Smallest cell whose unit loads strain_concentration solves on lanes.
+# Smallest cell whose unit loads strain_concentration solves one per lane.
 LANE_MIN_PIXELS = 128 * 128
 
 
@@ -61,14 +60,8 @@ class ConcentrationField:
 
 def _lane_count(n_pixels: int) -> int:
     """Threads for the three unit loads of an n_pixels cell: 1 below
-    LANE_MIN_PIXELS, else one per CPU, at most 3."""
-    if n_pixels < LANE_MIN_PIXELS:
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(len(UNIT_LOADS), cpus)
+    LANE_MIN_PIXELS, else one per load."""
+    return 1 if n_pixels < LANE_MIN_PIXELS else len(UNIT_LOADS)
 
 
 def _load_record(j: int, history: list) -> dict:
@@ -81,12 +74,12 @@ def _load_record(j: int, history: list) -> dict:
     }
 
 
-def _solve_on_lanes(c_field, config, domain, grid, green, a, lanes) -> list:
+def _solve_on_lanes(c_field, config, domain, grid, green, a) -> list:
     """Solve the unit loads one per lane into the columns of a; return their records.
 
-    Each helper solves one load; the caller solves load 0, then any load
-    left over once the helpers are done.  Results are read in load order, so
-    a failure raises the error a serial loop would.
+    The caller solves load 0 and one helper thread each other load.  Results
+    are read in load order once every helper is joined, so a failure raises
+    the lowest failed load's error, as a serial loop would.
     """
 
     def solve(j):
@@ -99,10 +92,9 @@ def _solve_on_lanes(c_field, config, domain, grid, green, a, lanes) -> list:
         a[..., :, j] = res.strain
         return _load_record(j, res.residual_history)
 
-    with ThreadPoolExecutor(lanes - 1) as helpers:
-        helped = [helpers.submit(solve, j) for j in range(1, lanes)]
-        loads = [solve(0)] + [f.result() for f in helped]
-    return loads + [solve(j) for j in range(lanes, len(UNIT_LOADS))]
+    with ThreadPoolExecutor(len(UNIT_LOADS) - 1) as helpers:
+        helped = [helpers.submit(solve, j) for j in range(1, len(UNIT_LOADS))]
+        return [solve(0)] + [f.result() for f in helped]
 
 
 def strain_concentration(
@@ -115,23 +107,21 @@ def strain_concentration(
     The frequency grid and Green operator are built once and shared by the
     three solves.
 
-    On one lane, the three loads go to solve_unit_load as one stack and are
-    solved in lockstep, each numpy call covering every load still active.
-    On more lanes, the calling thread solves load 0 and one helper thread
-    each of the next loads, one lane per CPU up to three, as the FFTs and
-    einsums release the GIL; a load left over runs on the caller after the
-    helpers finish.  Each load's arithmetic is the same on any lane and in
-    the stack, so A is bitwise the same on every path.  Lanes are used only
-    when the cell has at least LANE_MIN_PIXELS (128^2) pixels; every smaller
-    cell, and so every cell of the dataset and plate pools, takes the
-    lockstep stack.  On 2 CPUs (numpy 2.4.6, contrast-34 fiber cells at tol
-    1e-6, ranges over runs), this call on 1/2/3 lanes took 16-28/49-65/62-79
-    ms at 32^2, 57-85/77-100/71-95 ms at 64^2, 300-369/175-369/158-209 ms at
-    128^2 and 1373-1517/861-1032/694-841 ms at 256^2.  Below the threshold
-    lanes also lose inside the dataset and plate thread pools, which keep
-    the CPUs busy already: forced into the workers of a 64-sample 64^2
-    dataset on 2 threads, they took it from 3.8-4.1 s to 4.0-4.6 s
-    (measured before the lockstep stack).
+    A cell of fewer than LANE_MIN_PIXELS (128^2) pixels, as in the dataset
+    and plate pools, goes to solve_unit_load as one stack of the three
+    loads, solved in lockstep.  A larger cell takes one lane per load on any
+    CPU count: the caller solves load 0 and two helper threads loads 1 and
+    2, as the FFTs and einsums release the GIL.  Each load's arithmetic is
+    the same on a lane and in the stack, so A is bitwise the same on both
+    paths.  On 2 CPUs (numpy 2.4.6, contrast-34 fiber cells at tol 1e-6,
+    ranges over runs), this call on the stack/3 lanes took 15-24/38-72 ms
+    at 32^2, 42-61/70-92 ms at 64^2, 250-288/156-184 ms at 128^2 and
+    1230-1275/630-634 ms at 256^2; on 1 CPU, 260-292/204-248 ms at 128^2
+    and 1226-1392/1270-1370 ms at 256^2.  Below the threshold lanes also
+    lose inside the dataset and plate thread pools, which keep the CPUs
+    busy already: forced into the workers of a 64-sample 64^2 dataset on 2
+    threads, they took it from 3.8-4.1 s to 4.0-4.6 s (measured before the
+    lockstep stack).
     """
     c_field = np.asarray(c_field, dtype=float)
     T1, T2 = c_field.shape[:2]
@@ -143,8 +133,7 @@ def strain_concentration(
 
     a = np.empty((T1, T2, 3, 3))
 
-    lanes = _lane_count(T1 * T2)
-    if lanes == 1:
+    if _lane_count(T1 * T2) == 1:
         try:
             res = solve_unit_load(
                 c_field, UNIT_LOADS, config, domain=domain, grid=grid, green=green
@@ -155,7 +144,7 @@ def strain_concentration(
         a[...] = res.strain.transpose(1, 2, 3, 0)
         loads = [_load_record(j, res.residual_history[j]) for j in range(len(UNIT_LOADS))]
     else:
-        loads = _solve_on_lanes(c_field, config, domain, grid, green, a, lanes)
+        loads = _solve_on_lanes(c_field, config, domain, grid, green, a)
     return ConcentrationField(
         a,
         metadata={

@@ -161,7 +161,15 @@ def generate_fiber_rve(
     T1, T2 = int(resolution[0]), int(resolution[1])
     if min(T1, T2) < 32:
         raise DomainError(f"resolution must be >= 32 per axis, got {resolution}")
+    if not 0.0 < r_mean < np.inf:
+        raise DomainError(f"r_mean must be positive and finite, got {r_mean}")
+    if not 0.0 <= r_std_frac < np.inf:
+        raise DomainError(f"r_std_frac must be >= 0 and finite, got {r_std_frac}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     lengths = np.asarray(domain, dtype=float)
+    if not ((lengths > 0.0) & (lengths < np.inf)).all():
+        raise DomainError(f"domain lengths must be positive and finite, got {domain}")
     area = float(lengths[0] * lengths[1])
     gap = gap_frac * r_mean
     if 2.0 * r_mean + gap >= lengths.min():

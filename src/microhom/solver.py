@@ -30,7 +30,8 @@ the mean strain equals ebar at every iteration.  The inverse FFT transforms
 the three components of the real field z as two complex planes,
 [W0 + i W1, W2] for W = Gamma0 sigma_hat, which apply_green writes in
 place of r: the real and imaginary parts of the first plane's inverse are
--z0 and -z1.
+-z0 and -z1.  It runs in place, as conj(FFT(conj(x) / (T1*T2))): bitwise
+numpy's ifft2 on power-of-two grids, equal to round-off elsewhere.
 
 Lockstep: solve_unit_load also takes a stack of L mean strains and iterates
 them side by side, so each numpy call of an iteration covers every load
@@ -50,17 +51,17 @@ the convergence metric depends on that normalization, so it is fixed here.
 Memory layout: fields are held component-major and load-major,
 (L, 3, T1, T2), so the FFTs, C:eps and the Green product each run over
 contiguous planes.  A stiffness field from assign_properties already has
-that layout, so the solve reads it without a copy.  Per load, besides the
-strain and the search direction p, a solve holds one real scratch (C:p,
-alpha p, then C:eps, which ends as the returned stress), the stress
-spectrum (whose planes then take xi2-scaled stresses and d = N r) and the
-residual, which becomes the packed Green product: 27 real planes at the
-inverse FFT, whose output and intermediate are new arrays.  The forward
-FFT runs in place on the spectrum buffer (numpy >= 2.0), bitwise equal to
-the out-of-place call.
-numpy's ifft2 and irfft2 ignore out= (they pass out=None on to the
-transform and leave the buffer untouched), while ifftn(x, axes=(-2, -1),
-out=...) does write into it.  Sums reduce per plane with einsum, not BLAS,
+that layout, so the solve reads it without a copy.  Per load, a solve holds
+the strain, the search direction p, one real scratch (C:p, alpha p, then
+C:eps, which ends as the returned stress), the stress spectrum (whose
+planes then take xi2-scaled stresses and d = N r) and the residual, which
+becomes the packed Green product and then its inverse FFT: 21 real planes
+with the Green product's temporary.  Both FFTs run in place as numpy's
+fft2 (numpy >= 2.0), bitwise equal to the out-of-place call.  numpy's
+ifft2 ignores out= (it passes out=None on), and its output and
+intermediate would add 8 planes; ifftn(x, axes=(-2, -1), out=...) writes
+in place, but perfbench traces fft2 and ifft2 only and would lose the
+inverse from its FFT counts.  Sums reduce per plane with einsum, not BLAS,
 whose split of a sum follows the thread count.  Public (T1, T2, 3) shapes
 are transposed views.
 
@@ -191,12 +192,14 @@ def _stress_spectrum(c: np.ndarray, eps: np.ndarray, sigma: np.ndarray, sigma_ha
 
 def _update_direction(p: np.ndarray, beta: np.ndarray, packed: np.ndarray):
     """p = z + beta p in place, per field, for z = -IFFT(Gamma0 sigma_hat)
-    given packed as apply_green writes it."""
-    gs = np.fft.ifft2(packed)
+    given packed as apply_green writes it, which ends as conj(IFFT(packed))."""
+    np.conjugate(packed, out=packed)
+    packed *= 1.0 / (packed.shape[2] * packed.shape[3])
+    np.fft.fft2(packed, out=packed)
     p *= beta[:, None, None, None]
-    p[:, 0] -= gs[:, 0].real
-    p[:, 1] -= gs[:, 0].imag
-    p[:, 2] -= gs[:, 1].real
+    p[:, 0] -= packed[:, 0].real
+    p[:, 1] += packed[:, 0].imag
+    p[:, 2] -= packed[:, 1].real
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:

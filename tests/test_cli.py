@@ -164,6 +164,17 @@ class TestUsageErrors:
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("value", [
+        "rve.fiber.r_mean=0", "rve.fiber.r_mean=-1", "rve.fiber.r_mean=NaN",
+        "rve.fiber.r_std_frac=-1", "rve.fiber.seed=-1", "domain=[NaN,50]", "domain=[0,50]",
+    ])
+    def test_bad_fiber_value_exits_1_without_output(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        argv = ["gen-rve", "--out", str(out), "--set", "rve.fiber.vof=0.5", "--set", value]
+        assert dispatch(argv) == 1
+        assert not out.exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
     @pytest.mark.parametrize("macro", ["[1,0]", "[1,0,0,0]", "[NaN,0,0]", "[1,Infinity,0]"])
     def test_bad_macro_strain_exits_1_without_output(self, tmp_path, capsys, macro):
         out = tmp_path / "o"

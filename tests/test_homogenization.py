@@ -1,6 +1,5 @@
 """Concentration tensors, homogenized stiffness, and effective bounds."""
 
-import os
 import threading
 
 import numpy as np
@@ -12,6 +11,7 @@ from microhom.errors import NonConvergenceError
 from microhom.homogenization import (
     ASYMMETRY_CEILING,
     ASYMMETRY_FACTOR,
+    UNIT_LOADS,
     _lane_count,
     anisotropy_indicator,
     homogenized_stiffness,
@@ -185,14 +185,11 @@ class TestAsymmetryWarning:
         assert not [w for w in recwarn if "asymmetry" in str(w.message)]
 
 
-def _cpus(monkeypatch, n):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
 def _record_threads(monkeypatch, fail_loads=()):
     """Wrap the unit-load solve: note each load's thread, and make the loads
-    in fail_loads raise NonConvergenceError at once."""
-    threads = {}
+    in fail_loads raise NonConvergenceError at once.  Returns the threads by
+    load and the set of loads whose solve has returned."""
+    threads, done = {}, set()
     inner = homogenization.solve_unit_load
 
     def recorded(c_field, macro_strain, *args, **kwargs):
@@ -200,10 +197,12 @@ def _record_threads(monkeypatch, fail_loads=()):
         threads[load] = threading.current_thread()
         if load in fail_loads:
             raise NonConvergenceError("no convergence", [0.5, 0.25])
-        return inner(c_field, macro_strain, *args, **kwargs)
+        res = inner(c_field, macro_strain, *args, **kwargs)
+        done.add(load)
+        return res
 
     monkeypatch.setattr(homogenization, "solve_unit_load", recorded)
-    return threads
+    return threads, done
 
 
 @pytest.fixture(scope="module")
@@ -213,40 +212,31 @@ def cell128():
 
 
 class TestLanes:
-    def test_lane_rule(self, monkeypatch):
-        _cpus(monkeypatch, 8)
+    def test_lane_rule(self):
         assert _lane_count(128 * 128) == 3
+        assert _lane_count(256 * 256) == 3
         assert _lane_count(128 * 128 - 1) == 1
-        _cpus(monkeypatch, 2)
-        assert _lane_count(256 * 256) == 2
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert _lane_count(256 * 256) == 2
 
     def test_lanes_match_the_serial_path_bitwise(self, cell128, monkeypatch):
         config = SolverConfig(tol=1e-6)
-        _cpus(monkeypatch, 1)
-        serial = strain_concentration(cell128, config, domain=DOMAIN)
-        _cpus(monkeypatch, 3)
-        threads = _record_threads(monkeypatch)
+        stack = solve_unit_load(cell128, UNIT_LOADS, config, domain=DOMAIN)
+        threads, _ = _record_threads(monkeypatch)
         before = threading.active_count()
         lanes = strain_concentration(cell128, config, domain=DOMAIN)
         assert threading.active_count() == before
-        assert threads[0] is threading.current_thread()
-        assert any(t is not threading.current_thread() for t in threads.values())
-        assert lanes.a.tobytes() == serial.a.tobytes()
-        assert lanes.metadata == serial.metadata
+        assert len(threads) == 3
+        assert lanes.a.tobytes() == stack.strain.transpose(1, 2, 3, 0).tobytes()
+        records = [(load["iterations"], load["residual"]) for load in lanes.metadata["loads"]]
+        assert records == [(len(h), h[-1]) for h in stack.residual_history]
 
     def test_each_helper_solves_one_load(self, cell128, monkeypatch):
-        _cpus(monkeypatch, 2)
-        threads = _record_threads(monkeypatch)
+        threads, _ = _record_threads(monkeypatch)
         strain_concentration(cell128, SolverConfig(), domain=DOMAIN)
-        assert threads[0] is threads[2] is threading.current_thread()
-        assert threads[1] is not threading.current_thread()
+        assert threads[0] is threading.current_thread()
+        assert len({threads[0], threads[1], threads[2]}) == 3
 
     def test_helper_failure_names_its_load(self, cell128, monkeypatch):
-        _cpus(monkeypatch, 3)
-        threads = _record_threads(monkeypatch, fail_loads=(2,))
+        threads, _ = _record_threads(monkeypatch, fail_loads=(2,))
         before = threading.active_count()
         with pytest.raises(NonConvergenceError, match="^unit load 2: no convergence$") as exc:
             strain_concentration(cell128, SolverConfig(), domain=DOMAIN)
@@ -255,19 +245,20 @@ class TestLanes:
         assert threading.active_count() == before
 
     def test_lowest_failed_load_is_raised(self, cell128, monkeypatch):
-        _cpus(monkeypatch, 3)
         _record_threads(monkeypatch, fail_loads=(1, 2))
         before = threading.active_count()
         with pytest.raises(NonConvergenceError, match="^unit load 1: "):
             strain_concentration(cell128, SolverConfig(), domain=DOMAIN)
         assert threading.active_count() == before
 
-    def test_no_load_is_solved_after_a_lower_one_fails(self, cell128, monkeypatch):
-        _cpus(monkeypatch, 2)
-        threads = _record_threads(monkeypatch, fail_loads=(1,))
+    def test_a_failed_load_is_raised_after_every_helper_is_joined(self, cell128, monkeypatch):
+        # load 1 fails at once, while load 2 takes a full solve on its helper
+        _, done = _record_threads(monkeypatch, fail_loads=(1,))
+        before = threading.active_count()
         with pytest.raises(NonConvergenceError, match="^unit load 1: "):
             strain_concentration(cell128, SolverConfig(), domain=DOMAIN)
-        assert sorted(threads) == [0, 1]
+        assert done == {0, 2}
+        assert threading.active_count() == before
 
 
 class TestAnisotropyIndicator:
