@@ -1,32 +1,30 @@
 """Discrete frequency grids and the periodic isotropic Green operator.
 
-The operator is assembled in Fourier space on the full FFT grid from
-rotated-grid modified frequencies (Willot, C. R. Mecanique 343, 2015): a
-finite-difference-consistent discretization that suppresses ringing and,
-unlike the continuous frequencies of the original Moulinec-Suquet scheme,
-balances every mode of an even grid.
+The operator is built on the full FFT grid from rotated-grid modified
+frequencies (Willot, C. R. Mecanique 343, 2015): a finite-difference
+discretization that suppresses ringing and, unlike the continuous
+frequencies of the original Moulinec-Suquet scheme, balances every mode of
+an even grid.  With h_i the pixel sizes, theta_i = h_i xi_i and periodic
+indices, the half-pixel stencils
 
-For an isotropic reference medium C0 the operator factors through the
-acoustic tensor K0(xi) = C0 : (xi (x) xi), a symmetric 2x2 matrix per
-frequency: with r = xi . sigma_hat the balance residual of a stress
-spectrum (the quantity the equilibrium index Tol measures) and d = N r for
-N = K0^-1,
+    D1 x = (x - x(i-1,j) + x(i,j-1) - x(i-1,j-1)) / (2 h1)
+    D2 x = (x + x(i-1,j) - x(i,j-1) - x(i-1,j-1)) / (2 h2)
 
-    Gamma0 sigma_hat = sym(xi (x) d).
+have the symbols i phi xi1~ and i phi xi2~, phi = exp(-i (theta1 + theta2)/2).
+So the balance residual xi~ . sigma_hat is, up to phi, the spectrum of the
+real field rho = D . sigma = (D1 s11 + D2 s12, D1 s12 + D2 s22), and the
+phases cancel in the Green product, N = (C0 : (xi~ (x) xi~))^-1:
 
-So GreenField stores the three distinct entries of N, not the nine of a
-3x3 Voigt matrix, and :func:`apply_green` starts from r.  The pairing of d
-with r is the reference energy: for z = -IFFT(Gamma0 sigma_hat), the pixel
-sum of z : C0 : z is sum Re(conj(d) . r) / (T1*T2), so apply_green returns
-that sum, taken before it overwrites r with Gamma0 sigma_hat.
+    Gamma0 sigma_hat = sym(xi~ (x) N (xi~ . sigma_hat)) = FFT(sym(D^T (x) eta)),
+    eta = IFFT(N FFT(rho)).
 
-Storage: every plane is component-major, (k, T1, T2), and complex with a
-zero imaginary part.  numpy has no real-by-complex multiply loop: a real
-plane times a spectrum is cast to complex on every call, which costs about
-as much as the product itself.  The frequency planes (xi1, xi2) sit beside
-N for the same reason.  All five are built once per cell and shared by
-every load and lane; the products they enter equal, bit for bit, those of
-the real planes (xi + 0j times s is xi times s).
+The solver packs rho into one complex plane, W = FFT(rho1 + i rho2).  Its
+two components are the Hermitian and anti-Hermitian parts of W, so the
+symmetric N acts on it as N W = tr(N)/2 W + ((N11 - N22)/2 + i N12)
+conj(W(-k)).  GreenField stores those two multiplier planes (four real
+planes, where xi and N took ten), and apply_green returns the reference
+energy Re sum conj(N W) . W, T1*T2 times the pixel sum of z : C0 : z for
+z = -IFFT(Gamma0 sigma_hat).
 """
 
 from __future__ import annotations
@@ -43,10 +41,12 @@ ROTATED = "rotated"
 
 @dataclass(frozen=True)
 class FreqGrid:
-    """Per-pixel modified frequency components (rad/length) of a T1 x T2 FFT grid."""
+    """Per-pixel modified frequency components (rad/length) of a T1 x T2 FFT
+    grid of pixels of size h = (h1, h2)."""
 
     xi1: np.ndarray
     xi2: np.ndarray
+    h: tuple
 
     @property
     def shape(self):
@@ -57,19 +57,25 @@ class FreqGrid:
 class GreenField:
     """Precomputed Green operator of one reference medium on one grid.
 
-    xi holds the frequency planes (xi1, xi2) and n the entries (N11, N22,
-    N12) of the inverse acoustic tensor, all complex with zero imaginary
-    part; n is exactly zero where |xi| == 0.  Immutable after construction;
-    safe to share across concurrent solves.
-    """
+    For s = 1 / ((2 h1)^2 T1 T2), iso holds s tr(N)/2 twice per pixel (it
+    scales real and imaginary parts alike) and dev s ((N11 - N22)/2 - i N12);
+    s makes the solver's stencils unit-free (2 h1 D) and carries the inverse
+    FFT's 1/(T1*T2).  Both sit on the solver's padded grid, with zero last
+    row and column, and are zero where |xi| == 0.  Read-only, so safe to
+    share across concurrent solves."""
 
-    xi: np.ndarray  # (2, T1, T2) complex
-    n: np.ndarray  # (3, T1, T2) complex
+    iso: np.ndarray  # (T1 + 1, T2 + 1, 2) real
+    dev: np.ndarray  # (T1 + 1, T2 + 1) complex
     lame0: Lame
+    h: tuple  # the grid's pixel sizes
+
+    def __post_init__(self):
+        self.iso.flags.writeable = False
+        self.dev.flags.writeable = False
 
     @property
     def shape(self):
-        return self.n.shape[1:]
+        return (self.dev.shape[0] - 1, self.dev.shape[1] - 1)
 
 
 def frequency_vector(T: int, h: float) -> np.ndarray:
@@ -121,7 +127,7 @@ def make_freq_grid(resolution, domain, scheme: str = ROTATED) -> FreqGrid:
         c1[T1 // 2] = 0.0  # cos(-pi/2), exact zero at the Nyquist bin
     if T2 % 2 == 0:
         c2[T2 // 2] = 0.0
-    return FreqGrid((2.0 / h1) * np.outer(s1, c2), (2.0 / h2) * np.outer(c1, s2))
+    return FreqGrid((2.0 / h1) * np.outer(s1, c2), (2.0 / h2) * np.outer(c1, s2), (h1, h2))
 
 
 def green_operator(grid: FreqGrid, lame0: Lame) -> GreenField:
@@ -141,54 +147,58 @@ def green_operator(grid: FreqGrid, lame0: Lame) -> GreenField:
     x1, x2 = grid.xi1, grid.xi2
     nsq = x1 * x1 + x2 * x2
     inv = np.divide(1.0, nsq, out=np.zeros_like(nsq), where=nsq != 0.0)
-    a = inv / mu0
-    b = ((mu0 + lam0) / (mu0 * (2.0 * mu0 + lam0))) * inv * inv
-    xi = np.zeros((2,) + x1.shape, complex)
-    xi.real = x1, x2
-    n = np.zeros((3,) + x1.shape, complex)
-    n.real = a - b * x1 * x1, a - b * x2 * x2, -b * x1 * x2
-    return GreenField(xi, n, lame0)
+    s = 1.0 / ((2.0 * grid.h[0]) ** 2 * nsq.size)
+    a = (s / mu0) * inv
+    b = (s * (mu0 + lam0) / (mu0 * (2.0 * mu0 + lam0))) * inv * inv
+    # N = a I - b xi xi^T: tr(N)/2 = a - b |xi|^2 / 2, (N11 - N22)/2 - i N12
+    iso = np.zeros((nsq.shape[0] + 1, nsq.shape[1] + 1, 2))
+    iso[:-1, :-1] = (a - 0.5 * b * nsq)[..., None]
+    dev = np.zeros(iso.shape[:2], complex)
+    dev[:-1, :-1] = b * (0.5 * (x2 * x2 - x1 * x1) + 1j * x1 * x2)
+    return GreenField(iso, dev, lame0, grid.h)
 
 
-def apply_green(green: GreenField, residual: np.ndarray, d: np.ndarray = None) -> np.ndarray:
-    """Apply Gamma0, in place, to stress spectra given by their balance residuals.
+def wrap(x: np.ndarray, lead: bool) -> None:
+    """Fill the pad row and column of a field held in x[..., 1:, 1:] (lead) or
+    x[..., :-1, :-1] periodically.  A shift by (a, b) pixels is then an offset
+    of a (T2 + 1) + b in the flat plane: a stencil is one contiguous operation."""
+    if lead:
+        x[..., 1:, 0] = x[..., 1:, -1]
+        x[..., 0, :] = x[..., -1, :]
+    else:
+        x[..., :-1, -1] = x[..., :-1, 0]
+        x[..., -1, :] = x[..., 0, :]
 
-    residual: (L, 2, T1, T2) complex, r = xi . sigma_hat of one stress
-    spectrum per leading index.  It is overwritten with Gamma0 sigma_hat =
-    sym(xi (x) d), packed for one inverse FFT of a real strain field:
 
-        residual[:, 0] = G11 + i G22,    residual[:, 1] = G12,
+def pairs(x: np.ndarray) -> np.ndarray:
+    """The (..., 2) real view of a complex array whose last axis is contiguous."""
+    return x.view(float).reshape(x.shape + (2,), copy=False)
 
-    with G12 the tensorial shear.  G11, G22 and G12 are Hermitian spectra, so
-    the real and imaginary parts of IFFT(residual[:, 0]) are the inverse
-    transforms of G11 and G22.  d, if given, an (L, 2, T1, T2) complex
-    buffer, receives d = N r.
 
-    Returns the (L,) sums over frequencies of Re(conj(d) . r): T1*T2 times
-    the pixel sum of z : C0 : z for z = -IFFT(Gamma0 sigma_hat), taken here
-    because r is gone afterwards.  Each field's arithmetic is the same
-    whatever L.
+def apply_green(green: GreenField, packed: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Apply Gamma0 in place to packed residual spectra; return their energies.
+
+    packed: (L, T1 + 1, T2 + 1) complex with W = FFT(2 h1 (rho1 + i rho2))
+    of one stress field per load in [:, :T1, :T2] (solver.py); scratch is a
+    second such buffer.  packed ends holding conj(V), V = iso W + conj(dev)
+    conj(W(-k)) = s N W, whose forward FFT is conj(eta) / (2 h1).  With the
+    trailing pad filled, W(-k) is the flat padded plane reversed, and the
+    zero pads of the operator keep the pad entries out of every product.
+    Returns Re sum conj(V) . W per load, the pixel sum of z : C0 : z, summed
+    one load per call: one einsum over L planes groups a long sum
+    differently for L = 1, and a load's arithmetic must not depend on L.
     """
-    if d is None:
-        d = np.empty_like(residual)
-    xi1, xi2 = green.xi
-    n12 = green.n[2]
-    d1, d2 = d[:, 0], d[:, 1]
-    packed, shear = residual[:, 0], residual[:, 1]
-    # d = [N11 r1, N22 r2] + N12 [r2, r1]
-    np.multiply(green.n[:2], residual, out=d)
-    term = np.multiply(n12, residual[:, 1])
-    d1 += term
-    d2 += np.multiply(n12, residual[:, 0], out=term)
-    per_component = np.einsum("lcxy,lcxy->lc", d.view(float), residual.view(float))
-    energy = per_component[:, 0] + per_component[:, 1]
-    # [xi1 d1 + i xi2 d2, (xi1 d2 + xi2 d1) / 2]
-    np.multiply(xi1, d, out=residual)
-    np.multiply(xi2, d2, out=term)
-    packed.real -= term.imag
-    packed.imag += term.real
-    shear += np.multiply(xi2, d1, out=term)
-    shear *= 0.5
+    wrap(packed, lead=False)
+    n = len(packed)
+    w, t = packed.reshape(n, -1), scratch.reshape(n, -1)
+    iso = green.iso.reshape(-1, 2)
+    np.multiply(green.dev.reshape(-1), w[:, ::-1], out=t)
+    np.conjugate(w, out=w)
+    wv, tv = pairs(w), pairs(t)
+    energy = np.array([np.einsum("nc,nc->", t, w) + np.einsum("nc,nc,nc->", iso, w, w)
+                       for t, w in zip(tv, wv)])
+    wv *= iso
+    w += t
     return energy
 
 

@@ -114,14 +114,10 @@ def strain_concentration(
     2, as the FFTs and einsums release the GIL.  Each load's arithmetic is
     the same on a lane and in the stack, so A is bitwise the same on both
     paths.  On 2 CPUs (numpy 2.4.6, contrast-34 fiber cells at tol 1e-6,
-    ranges over runs), this call on the stack/3 lanes took 15-24/38-72 ms
-    at 32^2, 42-61/70-92 ms at 64^2, 250-288/156-184 ms at 128^2 and
-    1230-1275/630-634 ms at 256^2; on 1 CPU, 260-292/204-248 ms at 128^2
-    and 1226-1392/1270-1370 ms at 256^2.  Below the threshold lanes also
-    lose inside the dataset and plate thread pools, which keep the CPUs
-    busy already: forced into the workers of a 64-sample 64^2 dataset on 2
-    threads, they took it from 3.8-4.1 s to 4.0-4.6 s (measured before the
-    lockstep stack).
+    ranges over runs and two cells), this call on the stack/3 lanes took
+    16-24/65-83 ms at 32^2, 44-56/68-85 ms at 64^2, 140-193/104-115 ms at
+    128^2 and 739-797/393-490 ms at 256^2; on 1 CPU the two tie, at
+    164-178/162-191 ms at 128^2 and 826-896/780-853 ms at 256^2.
     """
     c_field = np.asarray(c_field, dtype=float)
     T1, T2 = c_field.shape[:2]

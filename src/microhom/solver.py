@@ -10,67 +10,41 @@ reference-medium Green operator Gamma0 (Zeman et al., J. Comput. Phys. 229,
 the fixed point of the basic Moulinec-Suquet scheme
 eps = ebar - Gamma0 (C - C0) eps, reached in far fewer iterations.
 
-One iteration, from the stress spectrum sigma_hat = FFT(C:eps):
+One iteration, from the stress sigma = C:eps (green.py for D and N):
 
-    r = xi . sigma_hat               balance residual; Tol is its norm
-    z = -IFFT(Gamma0 sigma_hat)      preconditioned residual (zero mean),
-                                     with Gamma0 sigma_hat = sym(xi (x) N r)
+    W = FFT(rho1 + i rho2),  rho = D . sigma    |W| = |xi . sigma_hat| gives Tol
+    z = -sym(D^T (x) IFFT(N W))                 = -IFFT(Gamma0 sigma_hat)
     p = z + beta p,  beta = <z, C0:z> / <z_old, C0:z_old>
     eps += alpha p,  alpha = <z, C0:z> / <p, C:p>
-    sigma = C:eps,   sigma_hat = FFT(sigma)
 
-so it costs one Green application, one inverse and one forward FFT and one
-equilibrium index.  Inner products are the tensor contraction a:b, i.e.
-weights (1, 1, 2) on tensorial-shear vectors.  The Green operator starts
-from the residual r that Tol needs anyway (green.py), and <z, C0:z> is
-sum Re(conj(N r) . r) / (T1*T2), a sum over the spectrum of nonnegative
-terms; the stress is recomputed from the strain every iteration rather than
-updated, so rounding does not accumulate in it.  Because p has zero mean,
-the mean strain equals ebar at every iteration.  The inverse FFT transforms
-the three components of the real field z as two complex planes,
-[W0 + i W1, W2] for W = Gamma0 sigma_hat, which apply_green writes in
-place of r: the real and imaginary parts of the first plane's inverse are
--z0 and -z1.  It runs in place, as conj(FFT(conj(x) / (T1*T2))): bitwise
-numpy's ifft2 on power-of-two grids, equal to round-off elsewhere.
+so a load's iteration sends two complex planes through np.fft.fft2 (the
+inverse as conj(FFT(conj(x))), its 1/(T1*T2) folded into the operator),
+where transforming stress and strain took five.  Inner products are the
+tensor contraction a:b (weights 1, 1, 2 on tensorial-shear vectors), and
+<z, C0:z> = Re sum conj(N W) . W / (T1*T2) sums nonnegative terms.  The
+stress is recomputed from the strain every iteration, so rounding does not
+accumulate in it; p has zero mean, so the mean strain stays ebar.
 
 Lockstep: solve_unit_load also takes a stack of L mean strains and iterates
-them side by side, so each numpy call of an iteration covers every load
-still active.  Each load keeps its own alpha, beta, Tol history and
-stopping point, and leaves the stack when it converges.  Loads share the
-calls and nothing else, so each load's iterates, history and iteration
-count are bitwise those of its own solve: the FFTs, the elementwise
-products and the per-plane einsum sums do the same arithmetic on a plane
-whatever the number of planes in the call.  This is not block CG; there is
-no shared Krylov space.  On a small cell most of an iteration is per-call
-overhead, during which a thread holds the GIL, and a stack of three pays it
-once.
+them side by side, each numpy call covering every load still active.  Each
+load keeps its own alpha, beta, Tol history and stopping point, and leaves
+the stack when it converges.  Its iterates, history and iteration count are
+bitwise those of its own solve: FFTs and elementwise products do the same
+arithmetic on a plane whatever the number of planes, and each sum runs per
+plane or per load.  This is not block CG; there is no shared Krylov space.
+On a small cell an iteration is mostly per-call overhead, during which a
+thread holds the GIL, and a stack of three pays it once.
 
-The FFT pair is numpy's unnormalized forward / 1/(T1*T2)-normalized inverse;
-the convergence metric depends on that normalization, so it is fixed here.
-
-Memory layout: fields are held component-major and load-major,
-(L, 3, T1, T2), so the FFTs, C:eps and the Green product each run over
-contiguous planes.  A stiffness field from assign_properties already has
-that layout, so the solve reads it without a copy.  Per load, a solve holds
-the strain, the search direction p, one real scratch (C:p, alpha p, then
-C:eps, which ends as the returned stress), the stress spectrum (whose
-planes then take xi2-scaled stresses and d = N r) and the residual, which
-becomes the packed Green product and then its inverse FFT: 21 real planes
-with the Green product's temporary.  Both FFTs run in place as numpy's
-fft2 (numpy >= 2.0), bitwise equal to the out-of-place call.  numpy's
-ifft2 ignores out= (it passes out=None on), and its output and
-intermediate would add 8 planes; ifftn(x, axes=(-2, -1), out=...) writes
-in place, but perfbench traces fft2 and ifft2 only and would lose the
-inverse from its FFT counts.  Sums reduce per plane with einsum, not BLAS,
-whose split of a sum follows the thread count.  Public (T1, T2, 3) shapes
-are transposed views.
-
-The Green operator and Tol use rotated-grid frequencies, which balance every
-mode of an even or odd grid, so any tolerance is reachable.  The continuous
-frequencies of the original Moulinec-Suquet scheme are not offered: on even
-grids they stall at a floor set by the unpaired Nyquist lines, whose
-one-sided frequencies no real stress field can balance (a 16^2 disc cell of
-contrast 10 stalls near Tol 2e-4).
+Memory layout: strain, direction and stress are (L, 3, T1, T2), so C:eps
+runs over contiguous planes (a stiffness field from assign_properties is
+read without a copy).  The packed planes carry a pad row and column (see
+green.wrap); the FFTs run in place on the unpadded view.  Per load a solve
+holds the strain, p, a real scratch (C:p, alpha p, then C:eps, the returned
+stress, and a stencil temporary), the packed plane and a complex scratch:
+about 14 real planes.  Public (T1, T2, 3) shapes are transposed views.
+The continuous frequencies of the original Moulinec-Suquet scheme are not
+offered: on even grids they stall at a floor set by the unpaired Nyquist
+lines (a 16^2 disc cell of contrast 10 near Tol 2e-4).
 """
 
 from __future__ import annotations
@@ -89,7 +63,9 @@ from .green import (
     green_operator,
     lame_fields_from_stiffness,
     make_freq_grid,
+    pairs,
     reference_material,
+    wrap,
 )
 
 
@@ -109,8 +85,8 @@ class SolverConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise DomainError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.scheme != ROTATED:
@@ -140,43 +116,51 @@ def convergence_metric(stress_hat: np.ndarray, freqs: FreqGrid) -> float:
 
     Tol = sqrt( sum_xi |xi . sigma_hat(xi)|^2 / (T1*T2 * sigma_hat(0):sigma_hat(0)) )
 
-    where xi . sigma_hat is the two-component balance residual
-    (xi1*s11 + xi2*s12, xi1*s12 + xi2*s22) and the denominator contracts the
-    zero-frequency stress with itself.  The grid's rotated-grid frequencies
-    measure balance in their own finite-difference sense.  stress_hat is
-    (T1, T2, 3), in any memory order.  The solver computes its Tol with the
-    same helpers, so this recomputes it with the solver's arithmetic.
+    with the balance residual xi . sigma_hat = (xi1 s11 + xi2 s12, xi1 s12 +
+    xi2 s22) on the grid's rotated-grid frequencies; stress_hat is (T1, T2,
+    3), in any memory order.  The solver takes the same sum from its packed
+    residual (green.py), so the two agree to round-off.
     """
-    s = np.asarray(stress_hat).transpose(2, 0, 1)[None]
-    mean_sq = _mean_stress_sq(s)
-    if mean_sq[0] == 0.0:
+    s = np.asarray(stress_hat)
+    s0 = np.abs(s[0, 0]) ** 2
+    mean_sq = s0[0] + s0[1] + 2.0 * s0[2]
+    if mean_sq == 0.0:
         raise ZeroMeanStressError("mean stress is zero; equilibrium index undefined")
-    residual = np.empty((1, 2) + s.shape[2:], complex)
-    _balance_residual(freqs.xi1, freqs.xi2, s, residual, np.empty_like(residual))
-    return float(_equilibrium_index(residual, mean_sq)[0])
+    r1 = freqs.xi1 * s[..., 0] + freqs.xi2 * s[..., 2]
+    r2 = freqs.xi1 * s[..., 2] + freqs.xi2 * s[..., 1]
+    sq = np.sum(r1.real**2 + r1.imag**2 + r2.real**2 + r2.imag**2)
+    return float(np.sqrt(sq / (r1.size * mean_sq)))
 
 
-def _mean_stress_sq(s_hat: np.ndarray) -> np.ndarray:
-    """sigma_hat(0):sigma_hat(0) per spectrum of an (L, 3, T1, T2) stack."""
-    sq = np.abs(s_hat[:, :, 0, 0]) ** 2
-    return sq[:, 0] + sq[:, 1] + 2.0 * sq[:, 2]
-
-
-def _balance_residual(xi1, xi2, s_hat: np.ndarray, out: np.ndarray, scratch: np.ndarray):
-    """out = xi . s_hat = [xi1 s11 + xi2 s12, xi1 s12 + xi2 s22] for an
-    (L, 3, T1, T2) stack of stress spectra.  scratch, (L, 2, T1, T2),
-    receives xi2 [s22, s12]; it may be s_hat[:, 1:] itself."""
-    np.multiply(xi1, s_hat[:, ::2], out=out)
-    out += np.multiply(xi2, s_hat[:, 1:], out=scratch)[:, ::-1]
-    return out
-
-
-def _equilibrium_index(residual: np.ndarray, mean_sq: np.ndarray) -> np.ndarray:
-    """Tol per field of an (L, 2, T1, T2) residual stack, given each mean_sq."""
-    v = residual.view(float)
-    sq = np.einsum("lcxy,lcxy->lc", v, v)
-    n_pix = residual.shape[2] * residual.shape[3]
-    return np.sqrt((sq[:, 0] + sq[:, 1]) / (n_pix * mean_sq))
+def _packed_residual(sigma: np.ndarray, packed: np.ndarray, scratch: np.ndarray, ratio: float):
+    """W = FFT(2 h1 (rho1 + i rho2)), rho = D . sigma, per stress field, into
+    packed[:, :T1, :T2]; returns sum |W|^2 (that of the two residual spectra:
+    their cross term is imaginary) and sigma_hat(0):sigma_hat(0).  With P =
+    (s11, s12), Q = (s12, s22) and the backward shifts S1, S2, 2 h1 rho =
+    (I - S1 S2)(P + ratio Q) + (S2 - S1)(P - ratio Q), ratio = h1 / h2.
+    """
+    n, _, T1, T2 = sigma.shape
+    row, k = T2 + 1, T1 * (T2 + 1) - 1
+    pair = scratch.view(float).reshape(n, 2, T1 + 1, row, copy=False)
+    flat = pair.reshape(n, 2, -1)
+    rho = pairs(packed.reshape(n, -1)[:, :k]).transpose(0, 2, 1)
+    p, q = sigma[:, ::2], sigma[:, :0:-1]
+    for sign in (1.0, -1.0):
+        if ratio == 1.0:
+            (np.add if sign > 0 else np.subtract)(p, q, out=pair[..., 1:, 1:])
+        else:
+            pair[..., 1:, 1:] = p + sign * ratio * q
+        wrap(pair, lead=True)
+        if sign > 0:
+            np.subtract(flat[..., row + 1 : row + 1 + k], flat[..., :k], out=rho)
+        else:
+            rho += flat[..., row : row + k]
+            rho -= flat[..., 1 : 1 + k]
+    w = packed[:, :-1, :-1]
+    np.fft.fft2(w, out=w)
+    sq = np.array([np.einsum("xyc,xyc->", f, f) for f in pairs(w)])  # per call: see apply_green
+    mean = np.einsum("lcxy->lc", sigma)
+    return sq, mean[:, 0] ** 2 + mean[:, 1] ** 2 + 2.0 * mean[:, 2] ** 2
 
 
 def _apply_stiffness(c: np.ndarray, strain: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -184,22 +168,32 @@ def _apply_stiffness(c: np.ndarray, strain: np.ndarray, out: np.ndarray) -> np.n
     return np.einsum("ijxy,ljxy->lixy", c, strain, out=out)
 
 
-def _stress_spectrum(c: np.ndarray, eps: np.ndarray, sigma: np.ndarray, sigma_hat: np.ndarray):
-    """sigma = C:eps and, in place in the complex buffer sigma_hat, its FFT."""
-    sigma_hat[...] = _apply_stiffness(c, eps, sigma)
-    np.fft.fft2(sigma_hat, out=sigma_hat)
-
-
-def _update_direction(p: np.ndarray, beta: np.ndarray, packed: np.ndarray):
-    """p = z + beta p in place, per field, for z = -IFFT(Gamma0 sigma_hat)
-    given packed as apply_green writes it, which ends as conj(IFFT(packed))."""
-    np.conjugate(packed, out=packed)
-    packed *= 1.0 / (packed.shape[2] * packed.shape[3])
-    np.fft.fft2(packed, out=packed)
+def _update_direction(p, beta, packed, scratch, spare, ratio: float):
+    """p = z + beta p in place, z = -sym(D^T (x) eta), from packed as
+    apply_green leaves it: its FFT is eta' = (eta1 - i eta2) / (2 h1).  With
+    the forward shifts S1^T, S2^T, E = I - S1^T S2^T and F = S2^T - S1^T,
+    2 h1 D1^T = E + F and 2 h1 D2^T = ratio (E - F).  E eta' goes to scratch,
+    F eta' to the first T1 (T2 + 1) complex entries of each row of spare.
+    """
+    n, _, T1, T2 = p.shape
+    row, k = T2 + 1, T1 * (T2 + 1) - 1
+    w = packed[:, :-1, :-1]
+    np.fft.fft2(w, out=w)
+    wrap(packed, lead=False)
+    flat = packed.reshape(n, -1)
+    rows = spare[:, : 2 * T1 * row].view(complex)
+    e, f, s = scratch.reshape(n, -1)[:, :k], rows[:, :k], flat[:, :k]
+    np.subtract(s, flat[:, row + 1 : row + 1 + k], out=e)
+    np.subtract(flat[:, 1 : 1 + k], flat[:, row : row + k], out=f)
+    np.add(e, f, out=s)  # 2 h1 D1^T eta'
+    np.subtract(e, f, out=f)
+    f *= ratio  # 2 h1 D2^T eta'
+    s.imag -= f.real
+    s.imag *= 0.5
     p *= beta[:, None, None, None]
-    p[:, 0] -= packed[:, 0].real
-    p[:, 1] += packed[:, 0].imag
-    p[:, 2] -= packed[:, 1].real
+    p[:, 0] -= w.real  # z11 = -D1^T eta1
+    p[:, 1] += rows.reshape(n, T1, row)[:, :, :-1].imag  # z22 = -D2^T eta2
+    p[:, 2] += w.imag  # z12 = -(D1^T eta2 + D2^T eta1) / 2
 
 
 def _contract(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -250,10 +244,9 @@ def solve_unit_load(
             iterations, i.e. of Green applications.
         config: iteration settings.
         domain: physical cell size (L1, L2); defaults to unit pixels.
-        grid, green: optional precomputed frequency grid and Green operator
-            (they are reused across the three unit loads of a concentration
-            solve); must match the field's (T1, T2), else DomainError, and
-            the reference medium.
+        grid, green: optional precomputed frequency grid and Green operator,
+            reused across the unit loads of a concentration solve; they must
+            match the field's (T1, T2), else DomainError.
 
     Raises:
         NonConvergenceError: the cap was reached, Tol is not finite, or the
@@ -302,24 +295,25 @@ def solve_unit_load(
         )
 
     c = np.ascontiguousarray(c_field.transpose(2, 3, 0, 1))
+    ratio, scale = green.h[0] / green.h[1], (2.0 * green.h[0]) ** 2 * T1 * T2
     eps = np.empty((n_loads, 3, T1, T2))
     eps[...] = loads[order][:, :, None, None]
     p = np.zeros_like(eps)
-    work = np.zeros_like(eps)  # C:p, then alpha p, then C:eps (the stress)
-    sigma_hat = np.empty(eps.shape, complex)  # then xi2 [s22, s12], and d = N r
-    residual = np.empty((n_loads, 2, T1, T2), complex)
+    # C:p, then alpha p, then C:eps (the stress); also _update_direction's F
+    spare = np.zeros((n_loads, max(3 * T1 * T2, 2 * T1 * (T2 + 1))))
+    work = spare[:, : 3 * T1 * T2].reshape(n_loads, 3, T1, T2, copy=False)
+    packed = np.zeros((n_loads, T1 + 1, T2 + 1), complex)  # W, then the Green product
+    scratch = np.zeros_like(packed)
     rz = np.zeros(n_loads)  # <z, C0:z> of the previous iteration; 0 restarts p from z
-    _stress_spectrum(c, eps[:m], work[:m], sigma_hat[:m])
+    _apply_stiffness(c, eps[:m], work[:m])
+    sq, mean_sq = _packed_residual(work[:m], packed[:m], scratch[:m], ratio)
 
     failure = None  # (load, error) of the lowest-index load that failed
     n_updates = 0
     while True:
-        s_hat, r = sigma_hat[:m], residual[:m]
-        mean_sq = _mean_stress_sq(s_hat)
-        _balance_residual(green.xi[0], green.xi[1], s_hat, r, s_hat[:, 1:])
         if n_updates > 0:
             defined = mean_sq != 0.0
-            tols = _equilibrium_index(r, np.where(defined, mean_sq, np.nan))
+            tols = np.sqrt(sq / (scale * np.where(defined, mean_sq, np.nan)))
             keep = []
             for k in range(m):
                 j = order[k]
@@ -350,16 +344,15 @@ def solve_unit_load(
                     error = NonConvergenceError(prefix.format(j) + message, histories[j])
                 failure = _lower(failure, j, error)
             for new, k in enumerate(keep):
-                _swap(new, k, order, (eps, p, work, residual, rz))
+                _swap(new, k, order, (eps, p, work, packed, rz))
             m = len(keep)
             if m == 0:
                 break
-            s_hat, r = sigma_hat[:m], residual[:m]
 
-        rz_new = apply_green(green, r, d=s_hat[:, :2]) / (T1 * T2)
+        rz_new = apply_green(green, packed[:m], scratch[:m])
         beta = np.divide(rz_new, rz[:m], out=np.zeros(m), where=rz[:m] != 0.0)
         rz[:m] = rz_new
-        _update_direction(p[:m], beta, r)
+        _update_direction(p[:m], beta, packed[:m], scratch[:m], spare[:m], ratio)
         curvature = _contract(p[:m], _apply_stiffness(c, p[:m], work[:m]))
         positive = curvature > 0
         for k in np.flatnonzero(~positive):
@@ -373,7 +366,8 @@ def solve_unit_load(
                 failure = _lower(failure, j, error)
         alpha = np.divide(rz[:m], curvature, out=np.zeros(m), where=positive)
         eps[:m] += np.multiply(p[:m], alpha[:, None, None, None], out=work[:m])
-        _stress_spectrum(c, eps[:m], work[:m], sigma_hat[:m])
+        _apply_stiffness(c, eps[:m], work[:m])
+        sq, mean_sq = _packed_residual(work[:m], packed[:m], scratch[:m], ratio)
         n_updates += 1
         if means is not None:
             for k in range(m):

@@ -188,6 +188,22 @@ class TestUsageErrors:
         assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command, key", [
+        ("solve", "solver.tol"), ("dataset", "solver.tol"), ("multiscale", "micro.solver.tol"),
+    ])
+    @pytest.mark.parametrize("tol", ["Infinity", "NaN"])
+    def test_non_finite_tol_exits_1_before_echo(self, tmp_path, capsys, command, key, tol):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--set", f"{key}={tol}"]
+        if command == "solve":
+            for item in ("rve.uniform=1 rve.resolution=[8,8] fiber_props.E=10.0 "
+                         "fiber_props.nu=0.3 matrix_props.E=2.0 matrix_props.nu=0.3").split():
+                argv += ["--set", item]
+        assert dispatch(argv) == 1
+        assert not (out / "config_echo.json").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "tol must be finite and positive" in err[0]
+
     def test_domain_error_exits_1(self, tmp_path):
         cfg = write_config(
             tmp_path / "c.json",

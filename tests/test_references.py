@@ -41,7 +41,8 @@ def _mismatches(got, want, path=""):
     if isinstance(want, list):
         if not isinstance(got, list) or len(got) != len(want):
             return [f"{path}: {got} != {want}"]
-        return [m for i, (g, w) in enumerate(zip(got, want)) for m in _mismatches(g, w, f"{path}[{i}]")]
+        pairs = enumerate(zip(got, want))
+        return [m for i, (g, w) in pairs for m in _mismatches(g, w, f"{path}[{i}]")]
     if isinstance(want, float) and not isinstance(got, (bool, str)) and got is not None:
         if path.endswith((".residual", ".residuals")) or ".residuals[" in path:
             ok = abs(got - want) <= RESIDUAL_ATOL
