@@ -184,19 +184,18 @@ def apply_green(green: GreenField, packed: np.ndarray, scratch: np.ndarray) -> n
     conj(W(-k)) = s N W, whose forward FFT is conj(eta) / (2 h1).  With the
     trailing pad filled, W(-k) is the flat padded plane reversed, and the
     zero pads of the operator keep the pad entries out of every product.
-    Returns Re sum conj(V) . W per load, the pixel sum of z : C0 : z, summed
-    one load per call: one einsum over L planes groups a long sum
-    differently for L = 1, and a load's arithmetic must not depend on L.
+    Returns Re sum conj(V) . W per load, the pixel sum of z : C0 : z; its
+    two-operand sum runs row by row, as over whole planes einsum would group
+    it differently for one load than for several.
     """
     wrap(packed, lead=False)
     n = len(packed)
     w, t = packed.reshape(n, -1), scratch.reshape(n, -1)
-    iso = green.iso.reshape(-1, 2)
     np.multiply(green.dev.reshape(-1), w[:, ::-1], out=t)
     np.conjugate(w, out=w)
-    wv, tv = pairs(w), pairs(t)
-    energy = np.array([np.einsum("nc,nc->", t, w) + np.einsum("nc,nc,nc->", iso, w, w)
-                       for t, w in zip(tv, wv)])
+    wv, iso = pairs(w), green.iso.reshape(-1, 2)
+    energy = np.einsum("lxyc,lxyc->l", pairs(scratch)[:, :-1, :-1], pairs(packed)[:, :-1, :-1])
+    energy += np.einsum("nc,lnc,lnc->l", iso, wv, wv)
     wv *= iso
     w += t
     return energy

@@ -158,7 +158,7 @@ def _packed_residual(sigma: np.ndarray, packed: np.ndarray, scratch: np.ndarray,
             rho -= flat[..., 1 : 1 + k]
     w = packed[:, :-1, :-1]
     np.fft.fft2(w, out=w)
-    sq = np.array([np.einsum("xyc,xyc->", f, f) for f in pairs(w)])  # per call: see apply_green
+    sq = np.einsum("lxyc,lxyc->l", pairs(w), pairs(w))  # row by row, see apply_green
     mean = np.einsum("lcxy->lc", sigma)
     return sq, mean[:, 0] ** 2 + mean[:, 1] ** 2 + 2.0 * mean[:, 2] ** 2
 
@@ -187,7 +187,8 @@ def _update_direction(p, beta, packed, scratch, spare, ratio: float):
     np.subtract(flat[:, 1 : 1 + k], flat[:, row : row + k], out=f)
     np.add(e, f, out=s)  # 2 h1 D1^T eta'
     np.subtract(e, f, out=f)
-    f *= ratio  # 2 h1 D2^T eta'
+    if ratio != 1.0:
+        f *= ratio  # 2 h1 D2^T eta'
     s.imag -= f.real
     s.imag *= 0.5
     p *= beta[:, None, None, None]
