@@ -22,9 +22,9 @@ The solver packs rho into one complex plane, W = FFT(rho1 + i rho2).  Its
 two components are the Hermitian and anti-Hermitian parts of W, so the
 symmetric N acts on it as N W = tr(N)/2 W + ((N11 - N22)/2 + i N12)
 conj(W(-k)).  GreenField stores those two multiplier planes (four real
-planes, where xi and N took ten), and apply_green returns the reference
-energy Re sum conj(N W) . W, T1*T2 times the pixel sum of z : C0 : z for
-z = -IFFT(Gamma0 sigma_hat).
+planes, where xi and N took ten), and apply_green also returns the
+reference energy Re sum conj(N W) . W / (T1*T2), the pixel sum of
+z : C0 : z for z = -IFFT(Gamma0 sigma_hat).
 """
 
 from __future__ import annotations
