@@ -78,13 +78,12 @@ def read_array(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
 
 
-def write_pgm(path, field: np.ndarray, sidecar: bool = True) -> dict:
+def write_pgm(path, field: np.ndarray) -> dict:
     """Export a 2D field as a binary PGM (P5) image.
 
     The field is min-max normalized to 0..255; a constant field degenerates
     to an all-zero image with a warning.  Image width is the second array
-    axis.  Returns the normalization bounds, also written to <path>.json
-    unless sidecar is False.
+    axis.  Returns the normalization bounds, also written to <path>.json.
     """
     field = np.asarray(field, dtype=float)
     if field.ndim != 2:
@@ -100,6 +99,5 @@ def write_pgm(path, field: np.ndarray, sidecar: bool = True) -> dict:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(raster.tobytes())
     bounds = {"min": lo, "max": hi}
-    if sidecar:
-        Path(str(path) + ".json").write_text(json.dumps(bounds), encoding="utf-8")
+    Path(str(path) + ".json").write_text(json.dumps(bounds), encoding="utf-8")
     return bounds

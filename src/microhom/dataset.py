@@ -5,10 +5,9 @@ manifest, so runs can be regenerated partially and written concurrently.
 Per-sample seeds derive from (master_seed, index) alone: removing or
 reordering samples never changes the others.
 
-Stiffness fields are not persisted by default: they are a deterministic
-function of the stored grid and four scalars, and at production resolution
-they dominate disk for no information gain.  ``store_stiffness`` restores
-them.
+A sample is its grid, its four phase moduli, its solver tol and its
+concentration field A.  The stiffness field is not stored: it is a fixed
+function of the grid and the four moduli.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .arrayio import read_array, write_array
 from .config import kind, resolve
 from .errors import ConfigError, DomainError
 from .green import make_freq_grid
-from .homogenization import ConcentrationField, asymmetry_threshold, strain_concentration
+from .homogenization import ConcentrationField, strain_concentration
 from .microstructure import assign_properties, generate_fiber_rve
 from .solver import SolverConfig, convergence_metric
 from .voigt import IsotropicProps
@@ -36,6 +35,8 @@ CONFIG_ECHO_NAME = "config_echo.json"
 EQUILIBRIUM_ROUNDOFF = 1e-15
 # Slack on |mean(A) - I|: the solver keeps the mean strain to round-off.
 MEAN_IDENTITY_ATOL = 1e-8
+# The (lo, hi) property bounds, in (E_f, nu_f, E_m, nu_m) order.
+_BOUNDS = ("fiber_E_bounds", "fiber_nu_bounds", "matrix_E_bounds", "matrix_nu_bounds")
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,6 @@ class DatasetConfig:
     master_seed: int = 0
     solver: SolverConfig = field(default_factory=SolverConfig)
     output_dir: str = "dataset_out"
-    store_stiffness: bool = False
     gap_frac: float = 0.1
     workers: int = 1
 
@@ -62,12 +62,14 @@ class DatasetConfig:
         for name in ("n_samples", "n_vof_groups", "workers"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("resolution", "domain_size"):
+        if self.master_seed < 0:
+            raise DomainError(f"master_seed must be >= 0, got {self.master_seed}")
+        for name in ("resolution", "domain_size", "vof_range", *_BOUNDS):
             if len(getattr(self, name)) != 2:
                 raise DomainError(f"{name} must have two entries, got {getattr(self, name)}")
         if self.vof_range[0] > self.vof_range[1]:
             raise DomainError(f"vof_range must be ordered lo <= hi, got {self.vof_range}")
-        for name in ("fiber_E_bounds", "fiber_nu_bounds", "matrix_E_bounds", "matrix_nu_bounds"):
+        for name in _BOUNDS:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise DomainError(f"{name} must satisfy lo < hi, got ({lo}, {hi})")
@@ -79,8 +81,7 @@ class DatasetConfig:
 
     def property_bounds(self):
         """The four (lo, hi) pairs in (E_f, nu_f, E_m, nu_m) order."""
-        return [self.fiber_E_bounds, self.fiber_nu_bounds,
-                self.matrix_E_bounds, self.matrix_nu_bounds]
+        return [getattr(self, name) for name in _BOUNDS]
 
 
 def config_from_dict(raw: dict) -> DatasetConfig:
@@ -149,19 +150,16 @@ def sample_seed(master_seed: int, index: int) -> int:
 SAMPLE_PROPERTIES = ("E_f", "nu_f", "E_m", "nu_m")
 
 
-def write_sample(sdir, rve, fiber, matrix, conc, index, seed, vof_target,
-                 c_field=None) -> dict:
+def write_sample(sdir, rve, fiber, matrix, conc, index, seed, vof_target) -> dict:
     """Write one cell as a sample directory: the grid, the concentration
-    field, optionally the stiffness field, then sample.json.  Returns the
-    manifest entry without "dir": the file map, then the sample.json record."""
+    field, then sample.json.  Returns the manifest entry without "dir": the
+    file map, then the sample.json record."""
     sdir = Path(sdir)
     sdir.mkdir(parents=True, exist_ok=True)
     files = {}
-    for name, arr in (("rve.u8.bin", rve.grid), ("a_field.f64.bin", conc.a),
-                      ("c_field.f64.bin", c_field)):
-        if arr is not None:
-            write_array(sdir / name, arr)
-            files[name] = list(arr.shape)
+    for name, arr in (("rve.u8.bin", rve.grid), ("a_field.f64.bin", conc.a)):
+        write_array(sdir / name, arr)
+        files[name] = list(arr.shape)
     info = {
         "index": index,
         "seed": seed,
@@ -179,11 +177,11 @@ def write_sample(sdir, rve, fiber, matrix, conc, index, seed, vof_target,
 
 def read_sample(sdir):
     """Read a sample directory back as (grid, fiber, matrix, conc), with the
-    recorded solver tol (or the default tol) and its asymmetry threshold in
-    conc.metadata.  Raises DomainError naming the directory when a file is
-    missing or unreadable, sample.json is not an object or lacks a numeric
-    property, the grid holds anything but 0 and 1, or the concentration
-    field does not match the grid."""
+    recorded solver tol in conc.metadata, or the default tol for a cell that
+    has none, such as a predicted field.  Raises DomainError naming the
+    directory when a file is missing or unreadable, sample.json is not an
+    object or lacks a numeric property, the grid holds anything but 0 and 1,
+    or the concentration field does not match the grid."""
     sdir = Path(sdir)
     try:
         grid = read_array(sdir / "rve.u8.bin")
@@ -207,9 +205,7 @@ def read_sample(sdir):
         matrix = IsotropicProps(props["E_m"], props["nu_m"])
     except (OSError, ValueError) as err:
         raise DomainError(f"{sdir}: {err}") from err
-    conc = ConcentrationField(a_field, {"tol": tol})
-    conc.metadata["asymmetry_threshold"] = asymmetry_threshold(tol)
-    return grid, fiber, matrix, conc
+    return grid, fiber, matrix, ConcentrationField(a_field, {"tol": tol})
 
 
 def _generate_one(cfg: DatasetConfig, index: int, props_row, vof: float, root: Path) -> dict:
@@ -229,8 +225,7 @@ def _generate_one(cfg: DatasetConfig, index: int, props_row, vof: float, root: P
     c_field = assign_properties(rve, fiber, matrix)
     conc = strain_concentration(c_field, cfg.solver, domain=cfg.domain_size)
     sdir = f"samples/{index:06d}"
-    stiffness = c_field if cfg.store_stiffness else None
-    entry = write_sample(root / sdir, rve, fiber, matrix, conc, index, seed, float(vof), stiffness)
+    entry = write_sample(root / sdir, rve, fiber, matrix, conc, index, seed, float(vof))
     return {"dir": sdir, **entry}
 
 
@@ -281,11 +276,11 @@ def validate_dataset(root) -> list:
 
     The manifest config fixes each sample's file map and grid shape, and
     every file under samples/ must be referenced exactly once.  Each file is
-    read once, by read_sample or read_array: a stored stiffness must equal,
-    bitwise, the one rebuilt from the grid and properties, and the
-    concentration field must average to the identity and be in equilibrium
-    (each unit load's Tol, recomputed from the stored fields on the config's
-    domain, within the recorded tol).  Returns a list of problems, empty if clean.
+    read once, by read_sample.  The concentration field must average to the
+    identity and be in equilibrium: each unit load's Tol, recomputed on the
+    config's domain from A and the stiffness rebuilt from the grid and
+    properties, within the recorded tol.  Returns a list of problems, empty
+    if clean.
     """
     root = Path(root)
     try:
@@ -300,10 +295,8 @@ def validate_dataset(root) -> list:
     except (ConfigError, DomainError) as err:
         return [f"{root / MANIFEST_NAME}: config: {err}"]
 
-    grid_shape, field_shape = list(cfg.resolution), [*cfg.resolution, 3, 3]
-    expected = {"rve.u8.bin": grid_shape, "a_field.f64.bin": field_shape, "sample.json": None}
-    if cfg.store_stiffness:
-        expected["c_field.f64.bin"] = field_shape
+    expected = {"rve.u8.bin": list(cfg.resolution),
+                "a_field.f64.bin": [*cfg.resolution, 3, 3], "sample.json": None}
     freqs = make_freq_grid(cfg.resolution, cfg.domain_size)
     problems = []
     referenced = set()
@@ -319,23 +312,18 @@ def validate_dataset(root) -> list:
             continue
         try:
             grid, fiber, matrix, conc = read_sample(sdir)
-            stored = read_array(sdir / "c_field.f64.bin") if cfg.store_stiffness else None
         except DomainError as err:
             problems.append(str(err))
             continue
         if grid.shape != cfg.resolution:
             problems.append(f"{sdir}: grid shape {grid.shape} != resolution {cfg.resolution}")
             continue
-        c_field = assign_properties(grid, fiber, matrix)
-        if stored is not None and (stored.shape != c_field.shape
-                                   or stored.tobytes() != c_field.tobytes()):
-            problems.append(f"{sdir}: stored c_field differs from the one rebuilt from the grid")
-            continue
         dev = np.abs(conc.a.mean(axis=(0, 1)) - np.eye(3)).max()
         if dev > MEAN_IDENTITY_ATOL:
             problems.append(f"{sdir}: mean concentration deviates from identity by {dev:.3e}")
             continue
         # Column j of A is the strain of unit load j: sigma_j = C : A e_j.
+        c_field = assign_properties(grid, fiber, matrix)
         stress = np.einsum("xyij,xyjk->xyik", c_field, conc.a)
         stress_hat = np.fft.fft2(stress, axes=(0, 1))
         tol = conc.metadata["tol"]

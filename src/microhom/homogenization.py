@@ -46,8 +46,8 @@ class ConcentrationField:
     """Per-pixel strain concentration matrices A(x) with solve diagnostics.
 
     metadata carries per-load iteration counts and final residuals so dataset
-    quality can be audited after the fact, and the asymmetry_threshold that
-    homogenized_stiffness warns above.
+    quality can be audited after the fact, and the solver tol, from which
+    homogenized_stiffness derives the asymmetry it warns above.
     """
 
     a: np.ndarray  # (T1, T2, 3, 3)
@@ -74,7 +74,7 @@ def _load_record(j: int, history: list) -> dict:
     }
 
 
-def _solve_on_lanes(c_field, config, domain, grid, green, a) -> list:
+def _solve_on_lanes(c_field, config, green, a) -> list:
     """Solve the unit loads one per lane into the columns of a; return their records.
 
     The caller solves load 0 and one helper thread each other load.  Results
@@ -84,9 +84,7 @@ def _solve_on_lanes(c_field, config, domain, grid, green, a) -> list:
 
     def solve(j):
         try:
-            res = solve_unit_load(
-                c_field, UNIT_LOADS[j], config, domain=domain, grid=grid, green=green
-            )
+            res = solve_unit_load(c_field, UNIT_LOADS[j], config, green=green)
         except NonConvergenceError as err:
             raise NonConvergenceError(f"unit load {j}: {err}", err.history) from err
         a[..., :, j] = res.strain
@@ -131,22 +129,19 @@ def strain_concentration(
 
     if _lane_count(T1 * T2) == 1:
         try:
-            res = solve_unit_load(
-                c_field, UNIT_LOADS, config, domain=domain, grid=grid, green=green
-            )
+            res = solve_unit_load(c_field, UNIT_LOADS, config, green=green)
         except NonConvergenceError as err:
             # the stack's "load j: " names unit load j
             raise NonConvergenceError(f"unit {err}", err.history) from err
         a[...] = res.strain.transpose(1, 2, 3, 0)
         loads = [_load_record(j, res.residual_history[j]) for j in range(len(UNIT_LOADS))]
     else:
-        loads = _solve_on_lanes(c_field, config, domain, grid, green, a)
+        loads = _solve_on_lanes(c_field, config, green, a)
     return ConcentrationField(
         a,
         metadata={
             "loads": loads,
             "tol": config.tol,
-            "asymmetry_threshold": asymmetry_threshold(config.tol),
             "lame0": (green.lame0.lam, green.lame0.mu),
         },
     )
@@ -159,9 +154,9 @@ def homogenized_stiffness(c_field: np.ndarray, conc, symmetrize: bool = True):
     column carries a factor 2, so raw storage of a coupled stiffness is not
     itself a symmetric matrix).  The remaining asymmetry measures how well
     the converged solution honors major symmetry and is returned alongside.
-    Above threshold * ||Cbar|| it is also surfaced as a warning, with the
-    threshold recorded in the ConcentrationField metadata, or else that of
-    the default SolverConfig tol (e.g. for a bare (T1, T2, 3, 3) array).
+    Above asymmetry_threshold(tol) * ||Cbar|| it is also surfaced as a
+    warning, with the tol recorded in the ConcentrationField metadata, or
+    else the default SolverConfig tol (e.g. for a bare (T1, T2, 3, 3) array).
 
     Returns:
         (cbar, asymmetry): the (3, 3) effective stiffness and the maximum
@@ -169,7 +164,7 @@ def homogenized_stiffness(c_field: np.ndarray, conc, symmetrize: bool = True):
     """
     a = conc.a if isinstance(conc, ConcentrationField) else np.asarray(conc)
     meta = conc.metadata if isinstance(conc, ConcentrationField) else {}
-    threshold = meta.get("asymmetry_threshold", asymmetry_threshold(SolverConfig().tol))
+    threshold = asymmetry_threshold(meta.get("tol", SolverConfig().tol))
     c_field = np.asarray(c_field, dtype=float)
     if c_field.shape[:2] != a.shape[:2]:
         raise ValueError(f"grid shapes differ: {c_field.shape[:2]} vs {a.shape[:2]}")

@@ -111,6 +111,8 @@ class GRFConfig:
             raise DomainError(f"corr_length must be positive, got {self.corr_length}")
         if self.n_modes is not None and self.n_modes < 0:
             raise DomainError(f"n_modes must be >= 0, got {self.n_modes}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -424,6 +426,8 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
     cfg = resolve(_MULTISCALE_DEFAULTS, raw_config)
     if cfg["workers"] < 1:
         raise DomainError(f"workers must be >= 1, got {cfg['workers']}")
+    if cfg["seed"] < 0:
+        raise DomainError(f"seed must be >= 0, got {cfg['seed']}")
     if cfg["load_steps"] < 1:
         raise DomainError(f"load_steps must be >= 1, got {cfg['load_steps']}")
     if not cfg["newton_tol"] > 0:

@@ -76,13 +76,12 @@ class SolverConfig:
     tol is the target of the equilibrium index Tol (convergence_metric);
     max_iter caps the iterations (one Green application each); scheme names
     the frequency grid of the Green operator and must be "rotated", the only
-    one; record_history keeps the mean strain of every iterate.
+    one.
     """
 
     tol: float = 1e-6
     max_iter: int = 5000
     scheme: str = ROTATED
-    record_history: bool = False
 
     def __post_init__(self):
         if not 0 < self.tol < np.inf:
@@ -229,8 +228,8 @@ def solve_unit_load(
     macro_strain,
     config: SolverConfig,
     domain=None,
-    grid: Optional[FreqGrid] = None,
     green: Optional[GreenField] = None,
+    record_history: bool = False,
 ) -> SolveResult:
     """Solve the periodic cell under a prescribed mean strain, or a stack of them.
 
@@ -245,9 +244,12 @@ def solve_unit_load(
             iterations, i.e. of Green applications.
         config: iteration settings.
         domain: physical cell size (L1, L2); defaults to unit pixels.
-        grid, green: optional precomputed frequency grid and Green operator,
-            reused across the unit loads of a concentration solve; they must
-            match the field's (T1, T2), else DomainError.
+            Unused when green is given, which carries its pixel sizes.
+        green: optional precomputed Green operator, reused across the unit
+            loads of a concentration solve; it must match the field's
+            (T1, T2), else DomainError.
+        record_history: keep the mean strain of every iterate in
+            mean_strain_history.
 
     Raises:
         NonConvergenceError: the cap was reached, Tol is not finite, or the
@@ -279,21 +281,16 @@ def solve_unit_load(
     if m == 0:
         zeros = np.zeros((n_loads, T1, T2, 3))
         return _result(stacked, zeros, zeros.copy(), 0, histories, None, {})
-    means = [[] for _ in range(n_loads)] if config.record_history else None
+    means = [[] for _ in range(n_loads)] if record_history else None
     prefix = "load {}: " if stacked else ""
 
-    if domain is None:
-        domain = (float(T1), float(T2))
-    if grid is None:
-        grid = make_freq_grid((T1, T2), domain)
     if green is None:
+        if domain is None:
+            domain = (float(T1), float(T2))
         lam, mu = lame_fields_from_stiffness(c_field)
-        green = green_operator(grid, reference_material(lam, mu))
-    if grid.shape != (T1, T2) or green.shape != (T1, T2):
-        raise DomainError(
-            f"grid {grid.shape} or Green operator {green.shape} "
-            f"does not match the {(T1, T2)} field"
-        )
+        green = green_operator(make_freq_grid((T1, T2), domain), reference_material(lam, mu))
+    if green.shape != (T1, T2):
+        raise DomainError(f"Green operator {green.shape} does not match the {(T1, T2)} field")
 
     c = np.ascontiguousarray(c_field.transpose(2, 3, 0, 1))
     ratio, scale = green.h[0] / green.h[1], (2.0 * green.h[0]) ** 2 * T1 * T2

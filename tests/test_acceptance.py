@@ -124,7 +124,7 @@ def test_criterion_03_convergence_contract(tmp_path):
         )
         macro = [1.0, 0.0, 0.0]
         res = solve_unit_load(
-            c_field, macro, SolverConfig(tol=1e-6, record_history=True), domain=DOMAIN
+            c_field, macro, SolverConfig(tol=1e-6), domain=DOMAIN, record_history=True
         )
         assert res.converged and res.residual_history[-1] <= 1e-6
         assert np.abs(res.mean_strain_history - macro).max() <= 1e-10

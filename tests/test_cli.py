@@ -7,7 +7,7 @@ import pytest
 
 from microhom.arrayio import read_array, write_array
 from microhom.cli import dispatch
-from microhom.dataset import write_sample
+from microhom.dataset import DatasetConfig, config_to_dict, write_sample
 from microhom.homogenization import strain_concentration
 from microhom.microstructure import Microstructure, assign_properties
 from microhom.solver import SolverConfig
@@ -88,7 +88,8 @@ class TestUsageErrors:
         "micro.resolution=[64]", "micro.resolution=[64,64,64]", "micro.domain=[50.0]",
         "micro.nu_fiber=0.5", "micro.nu_matrix=-1",
         "micro.vof_range=[0.7,0.8] nx=1 ny=1", "micro.vof_range=[0.0,0.5] nx=1 ny=1",
-        "micro.vof_range=[0.4] nx=1 ny=1",
+        "micro.vof_range=[0.4] nx=1 ny=1", "seed=-1", "grf_fiber.seed=-1",
+        "grf_matrix.seed=-1",
     ])
     def test_invalid_multiscale_value_exits_1_before_echo(self, tmp_path, capsys, override):
         out = tmp_path / "o"
@@ -96,13 +97,14 @@ class TestUsageErrors:
         for item in override.split():
             argv += ["--set", item]
         assert dispatch(argv) == 1
-        assert not (out / "config_echo.json").exists()
+        assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
 
     @pytest.mark.parametrize("override", [
         "n_samples=0", "n_samples=-4 n_vof_groups=1", "n_vof_groups=0",
         "fiber_nu_bounds=[0.2,0.2]", "resolution=[64]", "resolution=[64,64,64]",
-        "domain_size=[50.0]",
+        "domain_size=[50.0]", "fiber_E_bounds=[5]", "matrix_nu_bounds=[0.3,0.4,0.5]",
+        "vof_range=[0.4]", "vof_range=[0.4,0.5,0.6]", "master_seed=-1",
     ])
     def test_invalid_dataset_value_exits_1_before_echo(self, tmp_path, capsys, override):
         out = tmp_path / "o"
@@ -110,8 +112,32 @@ class TestUsageErrors:
         for item in override.split():
             argv += ["--set", item]
         assert dispatch(argv) == 1
-        assert not (out / "config_echo.json").exists()
+        assert not out.exists()
         assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command,override", [
+        ("dataset", "store_stiffness=true"),
+        ("dataset", "solver.record_history=true"),
+        ("multiscale", "micro.solver.record_history=true"),
+    ])
+    def test_removed_key_exits_2_without_output(self, tmp_path, capsys, command, override):
+        out = tmp_path / "o"
+        assert dispatch([command, "--out", str(out), "--set", override]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and repr(override.split("=")[0]) in err[0]
+        assert not out.exists()
+
+    def test_echo_with_removed_keys_exits_2(self, tmp_path, capsys):
+        # a dataset echo written while store_stiffness and
+        # solver.record_history existed carries both, as false
+        echo = config_to_dict(DatasetConfig(output_dir=str(tmp_path / "o")))
+        echo["solver"]["record_history"] = False
+        echo["store_stiffness"] = False
+        cfg = write_config(tmp_path / "old_echo.json", echo)
+        assert dispatch(["dataset", "--config", cfg]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "unknown config key" in err[0]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("zero", [["--threads", "0"], ["--set", "workers=0"]],
                              ids=["threads", "workers"])

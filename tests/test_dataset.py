@@ -19,7 +19,8 @@ from microhom.dataset import (
     validate_dataset,
 )
 from microhom.errors import ConfigError, DomainError
-from microhom.homogenization import asymmetry_threshold
+from microhom.homogenization import homogenized_stiffness
+from microhom.microstructure import assign_properties
 from microhom.solver import SolverConfig
 from microhom.voigt import IsotropicProps
 
@@ -151,28 +152,6 @@ class TestGenerateDataset:
         problems = validate_dataset(scratch)
         assert len(problems) == 1 and str(sdir) in problems[0]
 
-    @pytest.mark.parametrize("defect", ["truncated", "one entry changed"])
-    def test_validate_checks_stored_stiffness(self, tmp_path, defect):
-        cfg = DatasetConfig(
-            n_samples=2,
-            n_vof_groups=2,
-            resolution=(32, 32),
-            master_seed=5,
-            store_stiffness=True,
-            output_dir=str(tmp_path / "withc"),
-        )
-        generate_dataset(cfg)
-        assert validate_dataset(tmp_path / "withc") == []
-        path = tmp_path / "withc" / "samples" / "000001" / "c_field.f64.bin"
-        if defect == "truncated":
-            path.write_bytes(path.read_bytes()[:-8])
-        else:
-            c = read_array(path)
-            c[3, 5, 0, 0] *= 1.0 + 1e-12
-            write_array(path, c)
-        problems = validate_dataset(tmp_path / "withc")
-        assert len(problems) == 1 and str(path.parent) in problems[0]
-
     def test_validate_checks_equilibrium(self, small_dataset, tmp_path):
         # a field off equilibrium by 1e-3 that still averages to I: the mean
         # check alone passes it
@@ -196,6 +175,22 @@ class TestGenerateDataset:
         (scratch / "manifest.json").write_text(json.dumps(manifest))
         problems = validate_dataset(scratch)
         assert len(problems) == 1 and "config" in problems[0]
+
+    @pytest.mark.parametrize("key", ["store_stiffness", "solver.record_history"])
+    def test_validate_refuses_a_removed_config_key(self, small_dataset, tmp_path, key):
+        # a manifest written while the key existed carries it, as false
+        out, _, _ = small_dataset
+        scratch = tmp_path / "copy"
+        shutil.copytree(out, scratch)
+        manifest = json.loads((scratch / "manifest.json").read_text())
+        *parents, leaf = key.split(".")
+        node = manifest["config"]
+        for name in parents:
+            node = node[name]
+        node[leaf] = False
+        (scratch / "manifest.json").write_text(json.dumps(manifest))
+        problems = validate_dataset(scratch)
+        assert problems == [f"{scratch / 'manifest.json'}: config: unknown config key {key!r}"]
 
     def test_validate_clean_eight_samples(self, tmp_path):
         cfg = DatasetConfig(
@@ -253,29 +248,6 @@ class TestGenerateDataset:
         assert len(manifest["failures"]) == 2
         assert all("DomainError" in f["reason"] for f in manifest["failures"])
 
-    def test_store_stiffness_flag(self, tmp_path):
-        from microhom.microstructure import assign_properties
-
-        cfg = DatasetConfig(
-            n_samples=1,
-            n_vof_groups=1,
-            resolution=(64, 64),
-            master_seed=2,
-            store_stiffness=True,
-            output_dir=str(tmp_path / "withc"),
-        )
-        manifest = generate_dataset(cfg)
-        entry = manifest["samples"][0]
-        sdir = tmp_path / "withc" / entry["dir"]
-        c = read_array(sdir / "c_field.f64.bin")
-        grid = read_array(sdir / "rve.u8.bin")
-        p = entry["properties"]
-        rebuilt = assign_properties(
-            grid, IsotropicProps(p["E_f"], p["nu_f"]), IsotropicProps(p["E_m"], p["nu_m"])
-        )
-        assert np.array_equal(c, rebuilt)
-        assert validate_dataset(tmp_path / "withc") == []
-
     def test_sample_dirs_feed_the_multiscale_seam(self, small_dataset):
         out, _, manifest = small_dataset
         entry = manifest["samples"][0]
@@ -284,8 +256,14 @@ class TestGenerateDataset:
         assert (fiber, matrix) == (IsotropicProps(p["E_f"], p["nu_f"]),
                                    IsotropicProps(p["E_m"], p["nu_m"]))
         assert conc.a.shape == grid.shape + (3, 3)
-        assert entry["tol"] == 1e-6
-        assert conc.metadata["asymmetry_threshold"] == asymmetry_threshold(1e-6)
+        assert entry["tol"] == 1e-6 and conc.metadata == {"tol": 1e-6}
+        # the asymmetry threshold follows the recorded tol: this field's
+        # ~1e-6 ||Cbar|| is quiet at tol 1e-6 and warns at 1e-9
+        c_field = assign_properties(grid, fiber, matrix)
+        homogenized_stiffness(c_field, conc)
+        conc.metadata["tol"] = 1e-9
+        with pytest.warns(UserWarning, match="homogenized stiffness asymmetry"):
+            homogenized_stiffness(c_field, conc)
 
     def test_workers_match_serial(self, small_dataset, tmp_path):
         out, _, _ = small_dataset

@@ -12,6 +12,7 @@ from microhom.homogenization import (
     ASYMMETRY_CEILING,
     ASYMMETRY_FACTOR,
     UNIT_LOADS,
+    ConcentrationField,
     _lane_count,
     anisotropy_indicator,
     homogenized_stiffness,
@@ -171,8 +172,21 @@ class TestAsymmetryWarning:
     @pytest.mark.parametrize("tol", [1e-2, 1e-6, 1e-9])
     def test_threshold_follows_tol(self, contrast_34, tol):
         conc = strain_concentration(contrast_34, SolverConfig(tol=tol), domain=DOMAIN)
+        assert conc.metadata["tol"] == tol
+        # A constant C and A = I + d e1 e2^T give Cbar the asymmetry d C11:
+        # 1% under the threshold of the recorded tol is quiet, 1% over warns.
         expected = min(ASYMMETRY_FACTOR * tol, ASYMMETRY_CEILING)
-        assert conc.metadata["asymmetry_threshold"] == expected
+        c = stiffness_from_enu(IsotropicProps(10.0, 0.3))
+        c_field = np.broadcast_to(c, (4, 4, 3, 3))
+        for factor in (0.99, 1.01):
+            a = np.eye(3)
+            a[0, 1] = factor * expected * np.linalg.norm(c) / c[0, 0]
+            skewed = ConcentrationField(np.broadcast_to(a, (4, 4, 3, 3)), conc.metadata)
+            if factor < 1:
+                homogenized_stiffness(c_field, skewed)
+            else:
+                with pytest.warns(UserWarning, match="homogenized stiffness asymmetry"):
+                    homogenized_stiffness(c_field, skewed)
 
     def test_under_converged_solve_warns(self, contrast_34):
         conc = strain_concentration(contrast_34, SolverConfig(tol=1e-2), domain=DOMAIN)

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from microhom import plate
 from microhom.dataset import read_sample, write_sample
 from microhom.errors import DomainError, MeshError, NonConvergenceError
-from microhom.homogenization import asymmetry_threshold, homogenized_stiffness
+from microhom.homogenization import ConcentrationField, homogenized_stiffness
 from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.plate import (
     GRFConfig,
@@ -357,7 +357,12 @@ class TestSurrogateSeam:
         c_field = assign_properties(grid, fiber2, matrix2)
         tangent, _ = homogenized_stiffness(c_field, conc, symmetrize=False)
         assert_allclose(tangent, direct.tangent, rtol=1e-12)
-        assert conc.metadata["asymmetry_threshold"] == asymmetry_threshold(1e-8)
+        # the asymmetry threshold follows the recorded tol: this field's
+        # ~1e-8 ||Cbar|| is quiet at tol 1e-8 and warns at 1e-10
+        assert conc.metadata == {"tol": 1e-8}
+        conc.metadata["tol"] = 1e-10
+        with pytest.warns(UserWarning, match="homogenized stiffness asymmetry"):
+            homogenized_stiffness(c_field, conc)
 
     def test_saved_cell_carries_its_tol_threshold(self, tmp_path):
         run_multiscale(
@@ -365,9 +370,17 @@ class TestSurrogateSeam:
              "micro": {"resolution": [32, 32], "solver": {"tol": 1e-9}}},
             tmp_path / "out",
         )
-        conc = read_sample(tmp_path / "out" / "micro" / "000000")[3]
-        # the plate's cells are solved at tol 1e-9, not the default 1e-6 (threshold 1e-5)
-        assert conc.metadata["asymmetry_threshold"] == 1e-8
+        grid, fiber, matrix, conc = read_sample(tmp_path / "out" / "micro" / "000000")
+        # the plate's cells are solved at tol 1e-9, not the default 1e-6
+        assert conc.metadata == {"tol": 1e-9}
+        # A bump of A's 12 entry gives Cbar an asymmetry of 1e-7 ||Cbar||:
+        # over the recorded tol's threshold 1e-8, under the default's 1e-5.
+        c_field = assign_properties(grid, fiber, matrix)
+        cbar = homogenized_stiffness(c_field, conc, symmetrize=False)[0]
+        bump = np.zeros((3, 3))
+        bump[0, 1] = 1e-7 * np.linalg.norm(cbar) / c_field[..., 0, 0].mean()
+        with pytest.warns(UserWarning, match="homogenized stiffness asymmetry"):
+            homogenized_stiffness(c_field, ConcentrationField(conc.a + bump, conc.metadata))
 
     def test_run_multiscale_from_precomputed_fields(self, tmp_path):
         # four precomputed element cells for a 2x2 plate

@@ -62,10 +62,10 @@ class TestComponentLastReference:
         domain = (float(shape[0]), float(shape[1]))
         grid, green = _operators(c_field, domain)
         config = SolverConfig()
-        stack = solve_unit_load(c_field, np.eye(3), config, domain=domain, grid=grid, green=green)
+        stack = solve_unit_load(c_field, np.eye(3), config, green=green)
         for j, load in enumerate(np.eye(3)):
             ref = cg_solve_reference(c_field, load, config, grid, green)
-            one = solve_unit_load(c_field, load, config, domain=domain, grid=grid, green=green)
+            one = solve_unit_load(c_field, load, config, green=green)
             stacked = SolveResult(
                 stack.strain[j], stack.stress[j], len(stack.residual_history[j]),
                 stack.residual_history[j], True,
@@ -90,12 +90,12 @@ class TestLockstep:
         c_field = disc_rve(shape, radius, contrast=34.0)
         # a zero load rides along with no iterations of its own
         loads = np.array([[1.0, 0, 0], [0, 0, 1], [0, 0, 0], [0.3, -0.2, 0.5], [0, 1, 0]])
-        config = SolverConfig(tol=1e-9, record_history=True)
-        stack = solve_unit_load(c_field, loads, config)
+        config = SolverConfig(tol=1e-9)
+        stack = solve_unit_load(c_field, loads, config, record_history=True)
         assert stack.strain.shape == stack.stress.shape == (5,) + shape + (3,)
         counts = []
         for j, load in enumerate(loads):
-            one = solve_unit_load(c_field, load, config)
+            one = solve_unit_load(c_field, load, config, record_history=True)
             assert stack.strain[j].tobytes() == one.strain.tobytes()
             assert stack.stress[j].tobytes() == one.stress.tobytes()
             assert stack.residual_history[j] == one.residual_history
@@ -267,10 +267,10 @@ class TestWorkingSet:
 
     @staticmethod
     def _peak_planes(cell128, loads):
-        c_field, domain, (grid, green) = cell128
+        c_field, _, (_, green) = cell128
         tracemalloc.start()
         try:
-            solve_unit_load(c_field, loads, SolverConfig(), domain=domain, grid=grid, green=green)
+            solve_unit_load(c_field, loads, SolverConfig(), green=green)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -303,13 +303,14 @@ class TestSuppliedOperators:
         [pytest.param((1, 16), id="shape"), pytest.param((16, 17), id="transposed")],
     )
     def test_mismatch_rejected(self, which, other_shape):
+        # the Green operator of another cell, or this cell's reference
+        # medium on another cell's frequency grid
         c_field = disc_rve((17, 16), 4, contrast=10.0)
-        domain = (17.0, 16.0)
-        other = _operators(disc_rve(other_shape, 4, contrast=10.0), tuple(map(float, other_shape)))
-        ops = dict(zip(("grid", "green"), _operators(c_field, domain)))
-        ops[which] = dict(zip(("grid", "green"), other))[which]
+        grid, green = _operators(disc_rve(other_shape, 4, contrast=10.0), (17.0, 16.0))
+        if which == "grid":
+            green = green_operator(grid, reference_material(*lame_fields_from_stiffness(c_field)))
         with pytest.raises(DomainError, match="does not match"):
-            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), domain=domain, **ops)
+            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), green=green)
 
 
 def test_only_the_rotated_scheme_is_accepted():
@@ -322,7 +323,7 @@ class TestMeanFieldAndHistory:
     def test_mean_preserved_every_iteration(self):
         c_field = disc_rve(16, 4, contrast=10.0)
         macro = [0.3, -0.1, 0.2]
-        res = solve_unit_load(c_field, macro, SolverConfig(record_history=True, tol=1e-8))
+        res = solve_unit_load(c_field, macro, SolverConfig(tol=1e-8), record_history=True)
         assert res.mean_strain_history is not None
         dev = np.abs(res.mean_strain_history - np.asarray(macro)).max()
         assert dev <= 1e-10
