@@ -2,12 +2,12 @@
 
 Runs are driven by JSON config files; individual keys can be overridden on
 the command line with dotted paths (--set solver.tol=1e-8).  Every config is
-overlaid on one tree of defaults (microhom.config.resolve): an unknown key,
-or a value whose kind (object, array, number, string or boolean) differs
-from its default, or a fractional number for an integer default, is a usage
-error that names the dotted path.  Every run writes the resolved config,
+resolved and checked before any output (microhom.config.resolve): an unknown
+key or a mistyped value is a usage error, a value out of range a domain
+error, each naming the dotted path.  Every run writes the resolved config,
 every default included (also the plate's micro.solver), next to its outputs
-so it can be reproduced bitwise, plus a machine-readable summary JSON.  Diagnostics go to stderr.
+so it can be reproduced bitwise, plus a machine-readable summary JSON.
+Diagnostics go to stderr.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
 """
@@ -100,6 +100,13 @@ _RVE_DEFAULTS = {
     "spinodal": {**asdict(SpinodalParams()), "seed": 0},
     "resolution": [128, 128],
 }
+_CELL_DEFAULTS = {"rve": _RVE_DEFAULTS, "domain": [50.0, 50.0]}
+_PROPS_RANGES = {"E": "positive", "nu": dataset_mod.NU_RANGE}
+_CELL_RANGES = {  # rules for config.resolve; a fiber cell's other keys are dataset keys
+    "domain": "positive", "solver": SolverConfig.RANGES,
+    "fiber_props": _PROPS_RANGES, "matrix_props": _PROPS_RANGES, "rve": {
+        "fiber": {**_CELL.RANGES, "vof": _CELL.RANGES["vof_range"], "seed": ">= 0"},
+        "spinodal": {**SpinodalParams.RANGES, "seed": ">= 0"}, "resolution": ">= 1 per axis"}}
 
 
 def _props(cfg: dict, key: str) -> IsotropicProps:
@@ -113,19 +120,17 @@ def _cell_config(args, **defaults) -> dict:
     """Resolve a config with an 'rve' node, a 'domain' and `defaults`.
 
     The 'rve' node keeps only the first cell kind of _RVE_KINDS the user
-    gave (plus its resolution), so the echoed config reruns the same cell.
+    gave (plus its resolution, but for a file cell), so the echo reruns it.
     """
     raw = _load_config(args)
-    cfg = resolve({"rve": _RVE_DEFAULTS, "domain": [50.0, 50.0], **defaults}, raw)
+    if isinstance(raw.get("rve"), dict) and "file" in raw["rve"]:
+        raw["rve"].pop("resolution", None)
+    cfg = resolve({**_CELL_DEFAULTS, **defaults}, raw, _CELL_RANGES)
     given = raw.get("rve", {})
     cell = next((k for k in _RVE_KINDS if k in given), None)
     if cell is None:
         raise ConfigError("'rve' needs one of: " + ", ".join(_RVE_KINDS))
     node = cfg["rve"]
-    if len(cfg["domain"]) != 2:
-        raise DomainError(f"'domain' must have two entries, got {cfg['domain']}")
-    if cell != "file" and len(node["resolution"]) != 2:
-        raise DomainError(f"'rve.resolution' must have two entries, got {node['resolution']}")
     uniform = node["uniform"]
     if cell == "uniform" and (kind(uniform) != "a number" or uniform not in (0, 1)):
         raise ConfigError("'rve.uniform' must be 0 or 1")
@@ -151,16 +156,8 @@ def _build_rve(node: dict, domain) -> Microstructure:
         grid = np.full(tuple(resolution), phase, dtype=np.uint8)
         return Microstructure(grid, tuple(domain), float(phase), seed=-1, kind="uniform")
     if "fiber" in node:
-        sub = node["fiber"]
-        return generate_fiber_rve(
-            vof_target=float(sub["vof"]),
-            r_mean=float(sub["r_mean"]),
-            r_std_frac=float(sub["r_std_frac"]),
-            domain=domain,
-            resolution=resolution,
-            seed=int(sub["seed"]),
-            gap_frac=float(sub["gap_frac"]),
-        )
+        sub = dict(node["fiber"])
+        return generate_fiber_rve(sub.pop("vof"), domain=domain, resolution=resolution, **sub)
     sub = dict(node["spinodal"])
     seed = int(sub.pop("seed"))
     return generate_spinodal_rve(SpinodalParams(**sub), domain, resolution, seed)
@@ -196,8 +193,6 @@ def _cmd_solve(args) -> int:
     )
     domain = [float(v) for v in cfg["domain"]]
     macro = [float(v) for v in cfg["macro_strain"]]
-    if len(macro) != 3 or not np.isfinite(macro).all():
-        raise DomainError(f"'macro_strain' must be three finite numbers, got {cfg['macro_strain']}")
     fiber, matrix = _props(cfg, "fiber_props"), _props(cfg, "matrix_props")
     solver = SolverConfig(**cfg["solver"])
     out = Path(args.out)
@@ -270,7 +265,10 @@ def _cmd_dataset(args) -> int:
     }
     _write_summary(Path(summary["output_dir"]), summary, args.summary)
     _log(args.verbose, f"generated {summary['n_generated']} samples")
-    return 0 if not manifest["failures"] else 1
+    if manifest["failures"]:
+        raise DomainError(f"{summary['n_failed']} of {summary['n_requested']} samples failed, "
+                          f"see {Path(dcfg.output_dir) / dataset_mod.MANIFEST_NAME}")
+    return 0
 
 
 def _cmd_multiscale(args) -> int:

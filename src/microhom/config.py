@@ -1,16 +1,18 @@
 """Run configs: one tree of defaults, overlaid with the user's JSON.
 
 Every run (the cell commands, dataset production and the two-scale plate)
-resolves its config here, so unknown keys and mistyped values are rejected
-the same way everywhere and the echoed config lists every default.
+resolves its config here, so unknown keys, mistyped values and values out of
+range are rejected the same way everywhere, and the echo lists every default.
 """
 
 from __future__ import annotations
 
 import copy
+import math
+from dataclasses import MISSING, fields
 from numbers import Real
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 
 
 _KINDS = [("an object", dict), ("an array", (list, tuple)), ("a boolean", bool),
@@ -34,7 +36,18 @@ def _checked(path: str, value, default):
     return value
 
 
-def resolve(defaults: dict, raw: dict, where: str = "") -> dict:
+def _holds(rule: str, value) -> bool:
+    """Whether a number meets `rule`: "positive", ">= x[ per axis]" or "in (a, b]"."""
+    if rule == "positive":
+        return value > 0
+    if rule.startswith(">="):
+        return value >= float(rule.split()[1])
+    lo, hi = (float(bound) for bound in rule[4:-1].split(", "))
+    return (lo < value if rule[3] == "(" else lo <= value) and (
+        value < hi if rule[-1] == ")" else value <= hi)
+
+
+def resolve(defaults: dict, raw: dict, ranges=None, where: str = "") -> dict:
     """Overlay `raw` on a deep copy of `defaults`; `defaults` is not modified.
 
     Objects merge key by key; arrays and scalars replace the default.  A key
@@ -43,16 +56,38 @@ def resolve(defaults: dict, raw: dict, where: str = "") -> dict:
     the dotted path under `where`.  The elements of an array must have the
     kind of the default array's first element.  Where the default is an
     int, the number must be whole and is stored as an int.  A None default
-    accepts any value.
+    accepts any value.  Then an array must keep its default's length and a
+    number be finite and meet its rule in `ranges` (see _holds), a tree that
+    mirrors `defaults`, else DomainError names the path; a None default is
+    exempt unless it holds a number with a rule.
     """
     out = copy.deepcopy(defaults)
     for key, value in raw.items():
         path = f"{where}.{key}" if where else str(key)
         if key not in defaults:
             raise ConfigError(f"unknown config key {path!r}")
-        default = defaults[key]
+        default, rule = defaults[key], (ranges or {}).get(key, "")
         value = _checked(path, value, default)
-        if isinstance(default, (list, tuple)) and default:
-            value = [_checked(f"{path}[{i}]", item, default[0]) for i, item in enumerate(value)]
-        out[key] = resolve(default, value, path) if isinstance(default, dict) else value
+        numbers = [value] if kind(value) == "a number" and (default is not None or rule) else []
+        if isinstance(default, dict):
+            value = resolve(default, value, rule, path)
+        elif isinstance(default, (list, tuple)):
+            value = numbers = [_checked(f"{path}[{i}]", v, default[0]) for i, v in enumerate(value)]
+            if len(value) != len(default):
+                raise DomainError(f"{path} must have {len(default)} entries, got {value}")
+            default = default[0]
+        if not all(math.isfinite(v) and (not rule or _holds(rule, v)) for v in numbers):
+            finite = "finite and " if rule else "finite"
+            words = rule if rule and type(default) is int else finite + rule
+            raise DomainError(f"{path} must be {words}, got {value}")
+        out[key] = value
     return out
+
+
+class Checked:
+    """Base of a config dataclass with a RANGES table: construction checks the
+    fields as resolve() does, a field with no plain default as a None one."""
+
+    def __post_init__(self):
+        resolve({f.name: None if f.default is MISSING else f.default for f in fields(self)},
+                vars(self), self.RANGES)

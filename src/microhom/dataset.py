@@ -21,11 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .arrayio import read_array, write_array
-from .config import kind, resolve
+from .config import Checked, kind, resolve
 from .errors import ConfigError, DomainError
 from .green import make_freq_grid
 from .homogenization import ConcentrationField, strain_concentration
-from .microstructure import assign_properties, generate_fiber_rve
+from .microstructure import VOF_MAX, assign_properties, generate_fiber_rve
 from .solver import SolverConfig, convergence_metric
 from .voigt import IsotropicProps
 
@@ -37,10 +37,11 @@ EQUILIBRIUM_ROUNDOFF = 1e-15
 MEAN_IDENTITY_ATOL = 1e-8
 # The (lo, hi) property bounds, in (E_f, nu_f, E_m, nu_m) order.
 _BOUNDS = ("fiber_E_bounds", "fiber_nu_bounds", "matrix_E_bounds", "matrix_nu_bounds")
+NU_RANGE = "in (-1, 0.5)"  # a Poisson ratio, open at both ends
 
 
 @dataclass(frozen=True)
-class DatasetConfig:
+class DatasetConfig(Checked):
     n_samples: int = 20
     resolution: tuple = (128, 128)
     domain_size: tuple = (50.0, 50.0)
@@ -57,16 +58,15 @@ class DatasetConfig:
     output_dir: str = "dataset_out"
     gap_frac: float = 0.1
     workers: int = 1
+    RANGES = {
+        "n_samples": ">= 1", "resolution": ">= 32 per axis", "domain_size": "positive",
+        "vof_range": f"in (0, {VOF_MAX}]", "n_vof_groups": ">= 1", "r_mean": "positive",
+        "r_std_frac": ">= 0", "fiber_E_bounds": "positive", "fiber_nu_bounds": NU_RANGE,
+        "matrix_E_bounds": "positive", "matrix_nu_bounds": NU_RANGE, "master_seed": ">= 0",
+        "solver": SolverConfig.RANGES, "workers": ">= 1"}
 
     def __post_init__(self):
-        for name in ("n_samples", "n_vof_groups", "workers"):
-            if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.master_seed < 0:
-            raise DomainError(f"master_seed must be >= 0, got {self.master_seed}")
-        for name in ("resolution", "domain_size", "vof_range", *_BOUNDS):
-            if len(getattr(self, name)) != 2:
-                raise DomainError(f"{name} must have two entries, got {getattr(self, name)}")
+        super().__post_init__()
         if self.vof_range[0] > self.vof_range[1]:
             raise DomainError(f"vof_range must be ordered lo <= hi, got {self.vof_range}")
         for name in _BOUNDS:
@@ -85,8 +85,8 @@ class DatasetConfig:
 
 
 def config_from_dict(raw: dict) -> DatasetConfig:
-    """Build a DatasetConfig from parsed JSON, rejecting unknown keys."""
-    cfg = resolve(config_to_dict(DatasetConfig()), raw)
+    """Build a DatasetConfig from parsed JSON, rejecting unknown keys and bad values."""
+    cfg = resolve(config_to_dict(DatasetConfig()), raw, DatasetConfig.RANGES)
     solver = SolverConfig(**cfg.pop("solver"))
     return DatasetConfig(
         solver=solver, **{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}

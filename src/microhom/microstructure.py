@@ -13,6 +13,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import Checked
 from .errors import DomainError, InstabilityError, PackingError
 from .green import frequency_vector
 from .voigt import IsotropicProps, stiffness_from_enu
@@ -40,7 +41,7 @@ class Microstructure:
 
 
 @dataclass(frozen=True)
-class SpinodalParams:
+class SpinodalParams(Checked):
     """Knobs of the conserved phase-field evolution.
 
     Lengths are in the same units as the domain; defaults give visibly
@@ -53,12 +54,8 @@ class SpinodalParams:
     mobility: float = 1.0
     threshold: float = 0.6
     initial_noise_amplitude: float = 0.05
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise DomainError(f"steps must be >= 1, got {self.steps}")
-        if not 0.0 < self.threshold < 1.0:
-            raise DomainError(f"threshold must lie in (0, 1), got {self.threshold}")
+    RANGES = {"steps": ">= 1", "dt": "positive", "interface_width": "positive",
+              "mobility": "positive", "threshold": "in (0, 1)", "initial_noise_amplitude": ">= 0"}
 
 
 def _min_image(delta: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -238,7 +235,7 @@ def generate_spinodal_rve(
     exceeds the threshold and 1 (hard) otherwise.
 
     Raises:
-        DomainError: a resolution without two entries, or an axis below 1 pixel.
+        DomainError: a resolution without two entries, an axis below 1 pixel, or a negative seed.
         InstabilityError: the concentration left [-0.5, 1.5].
     """
     if len(resolution) != 2:
@@ -246,6 +243,8 @@ def generate_spinodal_rve(
     T1, T2 = int(resolution[0]), int(resolution[1])
     if min(T1, T2) < 1:
         raise DomainError(f"resolution must be >= 1 per axis, got {resolution}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     c = 0.5 + params.initial_noise_amplitude * rng.uniform(-1.0, 1.0, (T1, T2))
     _check_range(c, 0)

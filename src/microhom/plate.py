@@ -37,8 +37,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .arrayio import write_array
-from .config import resolve
-from .dataset import DatasetConfig, read_sample, sample_seed, stratify_vof, write_sample
+from .config import Checked, resolve
+from .dataset import NU_RANGE, DatasetConfig, read_sample, sample_seed, stratify_vof, write_sample
 from .errors import DomainError, MeshError, NonConvergenceError
 from .homogenization import (
     ConcentrationField,
@@ -46,7 +46,7 @@ from .homogenization import (
     reconstruct_strain,
     strain_concentration,
 )
-from .microstructure import VOF_MAX, assign_properties, generate_fiber_rve
+from .microstructure import assign_properties, generate_fiber_rve
 from .solver import SolverConfig
 from .voigt import IsotropicProps
 
@@ -95,7 +95,7 @@ class MacroMesh:
 
 
 @dataclass(frozen=True)
-class GRFConfig:
+class GRFConfig(Checked):
     """Correlated random modulus field: mean/std in GPa, length in mm."""
 
     mean: float
@@ -103,16 +103,8 @@ class GRFConfig:
     corr_length: float = 0.1
     n_modes: Optional[int] = None  # None: smallest count carrying 95% of the trace
     seed: int = 0
-
-    def __post_init__(self):
-        if self.std < 0:
-            raise DomainError(f"std must be >= 0, got {self.std}")
-        if not self.corr_length > 0:
-            raise DomainError(f"corr_length must be positive, got {self.corr_length}")
-        if self.n_modes is not None and self.n_modes < 0:
-            raise DomainError(f"n_modes must be >= 0, got {self.n_modes}")
-        if self.seed < 0:
-            raise DomainError(f"seed must be >= 0, got {self.seed}")
+    RANGES = {"mean": "positive", "std": ">= 0", "corr_length": "positive",
+              "n_modes": ">= 0", "seed": ">= 0"}
 
 
 @dataclass
@@ -397,60 +389,33 @@ def element_response(
 _CELL = asdict(DatasetConfig())
 
 _MULTISCALE_DEFAULTS = {
-    "nx": 8,
-    "ny": 15,
-    "elem_size": [0.05, 0.05],
-    "s_total": 0.0375,
-    "load_steps": 5,
-    "newton_tol": 1e-7,
-    "seed": 0,
-    "workers": 1,
-    "a_field_dir": None,
-    "save_micro": False,
+    "nx": 8, "ny": 15, "elem_size": [0.05, 0.05], "s_total": 0.0375, "load_steps": 5,
+    "newton_tol": 1e-7, "seed": 0, "workers": 1, "a_field_dir": None, "save_micro": False,
     "micro": {
-        "resolution": [64, 64],
-        "domain": _CELL["domain_size"],
+        "resolution": [64, 64], "domain": _CELL["domain_size"],
         **{k: _CELL[k] for k in ("r_mean", "r_std_frac", "gap_frac", "vof_range", "n_vof_groups")},
-        "nu_fiber": 0.2,
-        "nu_matrix": 0.35,
-        "solver": asdict(SolverConfig()),
+        "nu_fiber": 0.2, "nu_matrix": 0.35, "solver": asdict(SolverConfig()),
     },
     "grf_fiber": {"mean": 74.0, "std": 2.0, "corr_length": 0.1, "seed": 1},
     "grf_matrix": {"mean": 3.35, "std": 0.1, "corr_length": 0.1, "seed": 2},
+}
+_MULTISCALE_RANGES = {  # rules for config.resolve; micro's other keys are dataset keys
+    "nx": ">= 1", "ny": ">= 1", "elem_size": "positive", "load_steps": ">= 1",
+    "newton_tol": "positive", "seed": ">= 0", "workers": ">= 1",
+    "micro": {**DatasetConfig.RANGES, "domain": "positive", "nu_fiber": NU_RANGE,
+              "nu_matrix": NU_RANGE},
+    "grf_fiber": GRFConfig.RANGES, "grf_matrix": GRFConfig.RANGES,
 }
 
 
 def run_multiscale(raw_config: dict, out_dir) -> dict:
     """Full two-scale run driven by a config dict; writes per-step states and
     a reaction-force summary, returns the summary."""
-    cfg = resolve(_MULTISCALE_DEFAULTS, raw_config)
-    if cfg["workers"] < 1:
-        raise DomainError(f"workers must be >= 1, got {cfg['workers']}")
-    if cfg["seed"] < 0:
-        raise DomainError(f"seed must be >= 0, got {cfg['seed']}")
-    if cfg["load_steps"] < 1:
-        raise DomainError(f"load_steps must be >= 1, got {cfg['load_steps']}")
-    if not cfg["newton_tol"] > 0:
-        raise DomainError(f"newton_tol must be > 0, got {cfg['newton_tol']}")
-    if not np.isfinite(cfg["s_total"]):
-        raise DomainError(f"s_total must be finite, got {cfg['s_total']}")
-    if len(cfg["elem_size"]) != 2:
-        raise DomainError(f"elem_size must be [width, height], got {cfg['elem_size']}")
+    cfg = resolve(_MULTISCALE_DEFAULTS, raw_config, _MULTISCALE_RANGES)
     mesh = rect_plate_mesh(cfg["nx"], cfg["ny"], *cfg["elem_size"])
     n_el = len(mesh.elems)
     micro = cfg["micro"]
-    for name in ("resolution", "domain"):
-        if len(micro[name]) != 2:
-            raise DomainError(f"micro.{name} must have two entries, got {micro[name]}")
-    for name in ("nu_fiber", "nu_matrix"):
-        if not -1.0 < micro[name] < 0.5:
-            raise DomainError(f"micro.{name} must lie in (-1, 0.5), got {micro[name]}")
-    if len(micro["vof_range"]) != 2 or not all(0.0 < v <= VOF_MAX for v in micro["vof_range"]):
-        raise DomainError(
-            f"micro.vof_range must be two entries in (0, {VOF_MAX}], got {micro['vof_range']}"
-        )
     solver = SolverConfig(**micro["solver"])
-    grf_fiber, grf_matrix = GRFConfig(**cfg["grf_fiber"]), GRFConfig(**cfg["grf_matrix"])
     roots = None
     if cfg["a_field_dir"]:
         micro_dir = Path(cfg["a_field_dir"])
@@ -461,6 +426,12 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
             raise DomainError(
                 f"a_field_dir holds {len(roots)} element dirs, mesh has {n_el} elements"
             )
+    else:
+        moduli = {k: kl_field(mesh, GRFConfig(**cfg[k])) for k in ("grf_fiber", "grf_matrix")}
+        for name, field in moduli.items():
+            e = int(np.argmin(field))  # the first NaN, if any
+            if not field[e] > 0:
+                raise DomainError(f"{name} draws modulus {field[e]:.4g} at element {e}, not > 0")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config_echo.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
@@ -472,8 +443,6 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
             c_field = assign_properties(grid, fiber, matrix)
             tangents.append(homogenized_stiffness(c_field, conc, symmetrize=False)[0])
     else:
-        ef_field = kl_field(mesh, grf_fiber)
-        em_field = kl_field(mesh, grf_matrix)
         vofs = stratify_vof(n_el, micro["vof_range"], micro["n_vof_groups"])
         vofs = np.random.default_rng(cfg["seed"]).permutation(vofs)
 
@@ -488,8 +457,8 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
                 seed=seed,
                 gap_frac=micro["gap_frac"],
             )
-            fiber = IsotropicProps(float(ef_field[e]), micro["nu_fiber"])
-            matrix = IsotropicProps(float(em_field[e]), micro["nu_matrix"])
+            fiber = IsotropicProps(float(moduli["grf_fiber"][e]), micro["nu_fiber"])
+            matrix = IsotropicProps(float(moduli["grf_matrix"][e]), micro["nu_matrix"])
             el = element_response(
                 rve.grid, fiber, matrix, solver, micro["domain"],
                 keep_fields=cfg["save_micro"],

@@ -54,6 +54,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import Checked
 from .errors import DomainError, NonConvergenceError, ZeroMeanStressError
 from .green import (
     ROTATED,
@@ -70,7 +71,7 @@ from .green import (
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Checked):
     """Settings of the conjugate-gradient cell solve.
 
     tol is the target of the equilibrium index Tol (convergence_metric);
@@ -82,12 +83,10 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 5000
     scheme: str = ROTATED
+    RANGES = {"tol": "positive", "max_iter": ">= 1"}
 
     def __post_init__(self):
-        if not 0 < self.tol < np.inf:
-            raise DomainError(f"tol must be finite and positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
+        super().__post_init__()
         if self.scheme != ROTATED:
             raise DomainError(f"unknown scheme {self.scheme!r}, expected {ROTATED!r}")
 

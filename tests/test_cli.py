@@ -89,7 +89,9 @@ class TestUsageErrors:
         "micro.nu_fiber=0.5", "micro.nu_matrix=-1",
         "micro.vof_range=[0.7,0.8] nx=1 ny=1", "micro.vof_range=[0.0,0.5] nx=1 ny=1",
         "micro.vof_range=[0.4] nx=1 ny=1", "seed=-1", "grf_fiber.seed=-1",
-        "grf_matrix.seed=-1",
+        "grf_matrix.seed=-1", "grf_fiber.std=Infinity", "grf_fiber.mean=NaN",
+        "micro.resolution=[16,16]", "micro.r_mean=0", "micro.domain=[NaN,50]",
+        "newton_tol=Infinity", "grf_matrix.std=10", "grf_fiber.mean=1 grf_fiber.std=5",
     ])
     def test_invalid_multiscale_value_exits_1_before_echo(self, tmp_path, capsys, override):
         out = tmp_path / "o"
@@ -105,6 +107,8 @@ class TestUsageErrors:
         "fiber_nu_bounds=[0.2,0.2]", "resolution=[64]", "resolution=[64,64,64]",
         "domain_size=[50.0]", "fiber_E_bounds=[5]", "matrix_nu_bounds=[0.3,0.4,0.5]",
         "vof_range=[0.4]", "vof_range=[0.4,0.5,0.6]", "master_seed=-1",
+        "fiber_nu_bounds=[0.5,0.6]", "vof_range=[0.9,0.9]", "r_mean=0", "resolution=[16,16]",
+        "domain_size=[NaN,50]", "fiber_E_bounds=[-5,85]",
     ])
     def test_invalid_dataset_value_exits_1_before_echo(self, tmp_path, capsys, override):
         out = tmp_path / "o"
@@ -159,6 +163,13 @@ class TestUsageErrors:
                 "--set", 'rve={"spinodal":{"steps":1},"resolution":[0,64]}']
         assert dispatch(argv) == 1
         assert "resolution must be >= 1 per axis" in capsys.readouterr().err
+
+    def test_non_positive_modulus_draw_names_its_element(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert dispatch(["multiscale", "--out", str(out), "--set", "grf_matrix.std=10"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "grf_matrix draws modulus -" in err[0] and "at element" in err[0]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["gen-rve", "solve", "homogenize"])
     def test_threads_only_on_pooled_commands(self, command):
@@ -299,6 +310,18 @@ class TestDatasetAndValidate:
         a[..., 0, 0] += 1.0
         write_array(target, a)
         assert dispatch(["validate", "--dataset", str(out)]) == 1
+
+    def test_failed_samples_exit_1_with_one_line(self, tmp_path, capsys):
+        # a fiber too large for the cell fails each sample on its own
+        out = tmp_path / "ds"
+        argv = ["dataset", "--out", str(out)]
+        for item in "n_samples=2 n_vof_groups=2 resolution=[32,32] r_mean=30".split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "2 of 2 samples failed" in err[0]
+        assert str(out / "manifest.json") in err[0]
+        assert len(json.loads((out / "manifest.json").read_text())["failures"]) == 2
 
     @pytest.mark.parametrize(
         "manifest", ["[]", '{"samples": [{"dir": "samples/000000"}]}'],

@@ -1,11 +1,12 @@
 """The one config resolver: defaults overlaid with user JSON."""
 
 import copy
+from dataclasses import dataclass
 
 import pytest
 
-from microhom.config import resolve
-from microhom.errors import ConfigError
+from microhom.config import Checked, resolve
+from microhom.errors import ConfigError, DomainError
 
 DEFAULTS = {
     "n": 4,
@@ -88,3 +89,97 @@ def test_overrides_leave_defaults_unchanged():
     cfg["bounds"].append(2.0)
     cfg["outer"]["flag"] = True
     assert DEFAULTS == snapshot
+
+
+# The range checks: given values against a table that mirrors the defaults.
+TREE = {"count": 2, "size": [1.0, 1.0], "frac": 0.5, "free": 0.0, "ratio": 0.1,
+        "any": None, "open": None, "sub": {"tol": 1e-6, "cells": [64, 64]}}
+RANGES = {"count": ">= 1", "size": "positive", "frac": "in (0, 0.65]", "ratio": "in (-1, 0.5)",
+          "any": "in [0, 1)", "sub": {"tol": "positive", "cells": ">= 32 per axis"}}
+
+
+@pytest.mark.parametrize("size", [[1.0], [1.0, 1.0, 1.0]])
+def test_array_keeps_its_default_length(size):
+    with pytest.raises(DomainError, match=r"^size must have 2 entries, got \["):
+        resolve(TREE, {"size": size}, RANGES)
+
+
+@pytest.mark.parametrize("raw,message", [
+    ({"free": float("nan")}, "free must be finite, got nan"),
+    ({"free": float("-inf")}, "free must be finite, got -inf"),
+    ({"frac": float("inf")}, r"frac must be finite and in \(0, 0.65\], got inf"),
+    ({"size": [1.0, float("nan")]}, r"size must be finite and positive, got \[1.0, nan\]"),
+])
+def test_numbers_must_be_finite(raw, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        resolve(TREE, raw, RANGES)
+
+
+@pytest.mark.parametrize("key,inside,outside", [
+    ("frac", [0.65, 1e-9], [0.0, 0.66]),  # (0, 0.65]
+    ("ratio", [-0.99, 0.0, 0.49], [-1.0, 0.5]),  # (-1, 0.5)
+    ("any", [0.0, 0.99], [1.0, -0.01]),  # [0, 1)
+    ("count", [1, 7], [0, -3]),  # >= 1
+    ("size", [[1e-9, 2.0]], [[0.0, 2.0], [2.0, -1.0]]),  # positive, per entry
+])
+def test_open_and_closed_bounds(key, inside, outside):
+    for value in inside:
+        assert resolve(TREE, {key: value}, RANGES)[key] == value
+    for value in outside:
+        with pytest.raises(DomainError, match=f"^{key} must be "):
+            resolve(TREE, {key: value}, RANGES)
+
+
+def test_message_names_the_dotted_path_and_rule():
+    with pytest.raises(DomainError, match=r"^sub\.tol must be finite and positive, got 0$"):
+        resolve(TREE, {"sub": {"tol": 0}}, RANGES)
+    # a whole number is finite, so its message names the rule alone
+    with pytest.raises(DomainError, match=r"^sub\.cells must be >= 32 per axis, got \[64, 16\]$"):
+        resolve(TREE, {"sub": {"cells": [64, 16]}}, RANGES)
+    with pytest.raises(DomainError, match=r"^count must be >= 1, got 0$"):
+        resolve(TREE, {"count": 0}, RANGES)
+
+
+def test_kind_errors_stay_usage_errors():
+    with pytest.raises(ConfigError, match=r"'count' must be a whole number"):
+        resolve(TREE, {"count": float("nan")}, RANGES)
+    with pytest.raises(ConfigError, match=r"unknown config key 'sub\.bogus'"):
+        resolve(TREE, {"sub": {"bogus": 1}}, RANGES)
+
+
+@pytest.mark.parametrize("value", ["text", [1, 2, 3], {"k": -1}, float("nan"), -5])
+def test_none_default_without_a_rule_is_exempt(value):
+    assert resolve(TREE, {"open": value}, RANGES)["open"] is value
+
+
+def test_none_default_holds_a_number_to_its_rule():
+    assert resolve(TREE, {"any": "text"}, RANGES)["any"] == "text"  # not a number: any value
+    assert resolve(TREE, {"any": 0.5}, RANGES)["any"] == 0.5
+    for value in (1.0, float("nan")):
+        with pytest.raises(DomainError, match=r"^any must be finite and in \[0, 1\)"):
+            resolve(TREE, {"any": value}, RANGES)
+
+
+def test_defaults_are_not_checked():
+    # only given values are checked: a default outside its rule passes untouched
+    assert resolve({"x": -1.0}, {}, {"x": "positive"}) == {"x": -1.0}
+
+
+@dataclass(frozen=True)
+class _Cell(Checked):
+    radius: float  # required: held to its rule like a None default
+    sizes: tuple = (1.0, 1.0)
+    seed: int = 0
+    RANGES = {"radius": "positive", "sizes": "positive", "seed": ">= 0"}
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"radius": 0.0}, "radius must be finite and positive, got 0.0"),
+    ({"radius": 1.0, "sizes": (1.0,)}, r"sizes must have 2 entries, got \[1.0\]"),
+    ({"radius": 1.0, "sizes": (1.0, float("inf"))}, r"sizes must be finite and positive"),
+    ({"radius": 1.0, "seed": -1}, "seed must be >= 0, got -1"),
+])
+def test_checked_dataclass_holds_its_fields_to_its_table(kwargs, message):
+    with pytest.raises(DomainError, match=f"^{message}"):
+        _Cell(**kwargs)
+    assert _Cell(radius=2.0, sizes=[3.0, 4.0]).sizes == [3.0, 4.0]

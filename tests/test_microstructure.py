@@ -174,6 +174,14 @@ class TestSpinodal:
         with pytest.raises(DomainError, match=r"resolution must have two entries"):
             generate_spinodal_rve(SpinodalParams(steps=1), DOMAIN, shape, seed=0)
 
+    def test_rejects_negative_seed_before_any_draw(self, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("drew before checking the seed")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(DomainError, match=r"^seed must be >= 0, got -1$"):
+            generate_spinodal_rve(SpinodalParams(steps=1), DOMAIN, (32, 32), seed=-1)
+
     def test_invalid_params(self):
         with pytest.raises(DomainError):
             SpinodalParams(steps=0)
