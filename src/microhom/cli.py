@@ -205,7 +205,6 @@ def _cmd_solve(args) -> int:
     summary = {
         "macro_strain": macro,
         "iterations": result.iterations,
-        "converged": result.converged,
         "residual": result.residual_history[-1] if result.residual_history else 0.0,
         "mean_stress": result.stress.mean(axis=(0, 1)).tolist(),
     }

@@ -25,7 +25,7 @@ from .config import Checked, kind, resolve
 from .errors import ConfigError, DomainError
 from .green import make_freq_grid
 from .homogenization import ConcentrationField, strain_concentration
-from .microstructure import VOF_MAX, assign_properties, generate_fiber_rve
+from .microstructure import VOF_MAX, assign_properties, check_fiber_fits, generate_fiber_rve
 from .solver import SolverConfig, convergence_metric
 from .voigt import IsotropicProps
 
@@ -78,6 +78,7 @@ class DatasetConfig(Checked):
                 f"n_samples ({self.n_samples}) must be divisible by "
                 f"n_vof_groups ({self.n_vof_groups})"
             )
+        check_fiber_fits(self.r_mean, self.gap_frac, self.domain_size)
 
     def property_bounds(self):
         """The four (lo, hi) pairs in (E_f, nu_f, E_m, nu_m) order."""

@@ -35,10 +35,6 @@ class Microstructure:
     kind: str = "fiber"
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def resolution(self):
-        return self.grid.shape
-
 
 @dataclass(frozen=True)
 class SpinodalParams(Checked):
@@ -131,6 +127,15 @@ def _relax_positions(pos, radii, lengths, gap, rng):
     return None
 
 
+def check_fiber_fits(r_mean: float, gap_frac: float, domain) -> None:
+    """Raise DomainError unless one fiber and its gap fit the periodic cell:
+    (2 + gap_frac) * r_mean < min(domain)."""
+    span = 2.0 * r_mean + gap_frac * r_mean
+    if span >= min(domain):
+        raise DomainError(f"r_mean too large: a fiber and its gap span (2 + gap_frac) * r_mean "
+                          f"= {span:g}, not less than the cell's shorter side {min(domain):g}")
+
+
 def generate_fiber_rve(
     vof_target: float,
     r_mean: float,
@@ -167,10 +172,9 @@ def generate_fiber_rve(
     lengths = np.asarray(domain, dtype=float)
     if not ((lengths > 0.0) & (lengths < np.inf)).all():
         raise DomainError(f"domain lengths must be positive and finite, got {domain}")
+    check_fiber_fits(r_mean, gap_frac, lengths)
     area = float(lengths[0] * lengths[1])
     gap = gap_frac * r_mean
-    if 2.0 * r_mean + gap >= lengths.min():
-        raise DomainError("r_mean too large: one fiber does not fit the periodic cell")
 
     rng = np.random.default_rng(seed)
     sigma = r_std_frac * r_mean

@@ -46,7 +46,7 @@ from .homogenization import (
     reconstruct_strain,
     strain_concentration,
 )
-from .microstructure import assign_properties, generate_fiber_rve
+from .microstructure import assign_properties, check_fiber_fits, generate_fiber_rve
 from .solver import SolverConfig
 from .voigt import IsotropicProps
 
@@ -109,14 +109,14 @@ class GRFConfig(Checked):
 
 @dataclass
 class MacroState:
-    """Converged macro solution of one load step."""
+    """Macro solution of one load step.  Of the internal force K u it keeps the
+    free-DOF residual norm and the reaction; newton_iterations is always 1."""
 
     step: int
     applied_displacement: float
     displacement: np.ndarray  # (2*N,)
     strain_m: np.ndarray  # (E, 3) tensorial
     stress_m: np.ndarray  # (E, 3)
-    f_int: np.ndarray
     residual_norm: float
     reaction: float
     newton_iterations: int
@@ -216,7 +216,8 @@ def element_stiffness(coords: np.ndarray, c_storage: np.ndarray) -> np.ndarray:
 def assemble_stiffness(mesh: MacroMesh, tangents: np.ndarray) -> scipy.sparse.csr_matrix:
     """Global stiffness from per-element tangents (storage convention)."""
     ke = element_stiffness(mesh.nodes[mesh.elems], tangents)
-    dofs = mesh.elem_dofs
+    # int32 indices, which scipy keeps below 2**31 DOFs: int64 ones it copies down.
+    dofs = mesh.elem_dofs.astype(np.int32)
     n = mesh.n_dofs
     return scipy.sparse.csr_matrix(
         (ke.ravel(), (np.repeat(dofs, 8, axis=1).ravel(), np.tile(dofs, 8).ravel())),
@@ -249,18 +250,18 @@ def solve_plate(
 
     The total edge displacement is divided linearly over the load steps.
     There is one unit solve, every step a multiple: the free DOFs are solved
-    once for a unit edge displacement, and step k's displacement, internal
-    force, element strains and stresses, residual norm and reaction are its
-    target displacement (its magnitude, for the norm) times the unit ones.
-    A step whose free-DOF residual norm is above newton_tol raises
-    NonConvergenceError naming the first such step; every state reports
-    newton_iterations = 1, the one solve that ran.  The reaction is the
-    internal-force sum over the loaded DOFs.  The free-DOF stiffness,
-    assembled from the batched element kernels, is SPD: it is factored in
-    SuperLU's symmetric mode, with its DOFs eliminated in mesh.node_order
-    (nested dissection for rect_plate_mesh, no further column permutation);
-    a singular one raises DomainError, as do a non-finite s_total and a
-    non-finite tangent.
+    once for a unit edge displacement, and step k's displacement, element
+    strains and stresses, residual norm and reaction are its target
+    displacement (its magnitude, for the norm) times the unit ones.  Of the
+    global stiffness K (batched element kernels) the solve keeps only the SPD
+    free block K_ff, the loaded rows and the right-hand side, and drops K
+    before K_ff is factored in SuperLU's symmetric mode, its DOFs eliminated
+    in mesh.node_order (nested dissection for rect_plate_mesh, no further
+    column permutation); the factor goes once u is solved.  The residual
+    K_ff u_free - rhs and the reaction, the loaded rows' sum, are the free
+    and loaded parts of K u.  A step whose residual norm is above newton_tol
+    raises NonConvergenceError naming the first such step; a singular K_ff
+    raises DomainError, as do a non-finite s_total and a non-finite tangent.
     """
     if load_steps < 1:
         raise DomainError(f"load_steps must be >= 1, got {load_steps}")
@@ -279,7 +280,13 @@ def solve_plate(
     free = dofs[np.isin(dofs, mesh.dof_free)]
     if free.size == 0:
         raise DomainError("no free DOFs: the mesh is fully prescribed")
+    # Constant tangents make every step a multiple of one unit-displacement solve.
+    u_unit = np.zeros(mesh.n_dofs)
+    u_unit[mesh.dof_loaded] = 1.0
+    rhs = -(k_global @ u_unit)[free]
     k_ff = k_global[np.ix_(free, free)].tocsc()
+    k_loaded = k_global[mesh.dof_loaded]
+    del k_global
     try:
         lu = scipy.sparse.linalg.splu(
             k_ff, permc_spec="NATURAL", options=dict(SymmetricMode=True)
@@ -287,15 +294,12 @@ def solve_plate(
     except RuntimeError as err:
         raise DomainError(f"singular macro stiffness: {err}") from err
 
-    # Constant tangents make every step a multiple of one unit-displacement solve.
-    u_unit = np.zeros(mesh.n_dofs)
-    u_unit[mesh.dof_loaded] = 1.0
-    u_unit[free] = lu.solve(-(k_global @ u_unit)[free])
-    f_unit = k_global @ u_unit
+    u_unit[free] = lu.solve(rhs)
+    del lu
     strain_unit = element_strains(mesh, u_unit)
     stress_unit = np.einsum("eij,ej->ei", tangents, strain_unit)
     targets = s_total * np.arange(1, load_steps + 1) / load_steps
-    r_norms = np.abs(targets) * np.linalg.norm(f_unit[free])
+    r_norms = np.abs(targets) * np.linalg.norm(k_ff @ u_unit[free] - rhs)
     missed = np.flatnonzero(~(r_norms <= newton_tol))
     if missed.size:
         step = missed[0] + 1
@@ -304,7 +308,7 @@ def solve_plate(
             r_norms[:step].tolist(),
         )
 
-    reaction_unit = f_unit[mesh.dof_loaded].sum()
+    reaction_unit = (k_loaded @ u_unit).sum()
     return [
         MacroState(
             step=step,
@@ -312,7 +316,6 @@ def solve_plate(
             displacement=target * u_unit,
             strain_m=target * strain_unit,
             stress_m=target * stress_unit,
-            f_int=target * f_unit,
             residual_norm=float(r_norm),
             reaction=float(target * reaction_unit),
             newton_iterations=1,
@@ -412,9 +415,10 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
     """Full two-scale run driven by a config dict; writes per-step states and
     a reaction-force summary, returns the summary."""
     cfg = resolve(_MULTISCALE_DEFAULTS, raw_config, _MULTISCALE_RANGES)
+    micro = cfg["micro"]
+    check_fiber_fits(micro["r_mean"], micro["gap_frac"], micro["domain"])
     mesh = rect_plate_mesh(cfg["nx"], cfg["ny"], *cfg["elem_size"])
     n_el = len(mesh.elems)
-    micro = cfg["micro"]
     solver = SolverConfig(**micro["solver"])
     roots = None
     if cfg["a_field_dir"]:
@@ -491,7 +495,6 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
                 "step": state.step,
                 "displacement": state.applied_displacement,
                 "reaction": state.reaction,
-                "newton_iterations": state.newton_iterations,
                 "residual": state.residual_norm,
             }
         )

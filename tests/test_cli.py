@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from microhom import dataset as dataset_mod
 from microhom.arrayio import read_array, write_array
 from microhom.cli import dispatch
 from microhom.dataset import DatasetConfig, config_to_dict, write_sample
+from microhom.errors import PackingError
 from microhom.homogenization import strain_concentration
 from microhom.microstructure import Microstructure, assign_properties
 from microhom.solver import SolverConfig
@@ -92,6 +94,7 @@ class TestUsageErrors:
         "grf_matrix.seed=-1", "grf_fiber.std=Infinity", "grf_fiber.mean=NaN",
         "micro.resolution=[16,16]", "micro.r_mean=0", "micro.domain=[NaN,50]",
         "newton_tol=Infinity", "grf_matrix.std=10", "grf_fiber.mean=1 grf_fiber.std=5",
+        "nx=1 ny=1 micro.resolution=[32,32] micro.r_mean=30",
     ])
     def test_invalid_multiscale_value_exits_1_before_echo(self, tmp_path, capsys, override):
         out = tmp_path / "o"
@@ -109,6 +112,7 @@ class TestUsageErrors:
         "vof_range=[0.4]", "vof_range=[0.4,0.5,0.6]", "master_seed=-1",
         "fiber_nu_bounds=[0.5,0.6]", "vof_range=[0.9,0.9]", "r_mean=0", "resolution=[16,16]",
         "domain_size=[NaN,50]", "fiber_E_bounds=[-5,85]",
+        "r_mean=30 resolution=[32,32] n_samples=2 n_vof_groups=2", "r_mean=20 gap_frac=0.5",
     ])
     def test_invalid_dataset_value_exits_1_before_echo(self, tmp_path, capsys, override):
         out = tmp_path / "o"
@@ -311,11 +315,15 @@ class TestDatasetAndValidate:
         write_array(target, a)
         assert dispatch(["validate", "--dataset", str(out)]) == 1
 
-    def test_failed_samples_exit_1_with_one_line(self, tmp_path, capsys):
-        # a fiber too large for the cell fails each sample on its own
+    def test_failed_samples_exit_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # a packing that fails in the pool fails each sample on its own
+        def no_packing(*args, **kwargs):
+            raise PackingError("could not pack")
+
+        monkeypatch.setattr(dataset_mod, "generate_fiber_rve", no_packing)
         out = tmp_path / "ds"
         argv = ["dataset", "--out", str(out)]
-        for item in "n_samples=2 n_vof_groups=2 resolution=[32,32] r_mean=30".split():
+        for item in "n_samples=2 n_vof_groups=2 resolution=[32,32]".split():
             argv += ["--set", item]
         assert dispatch(argv) == 1
         err = capsys.readouterr().err.splitlines()

@@ -6,6 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
+from microhom import dataset
 from microhom.arrayio import read_array, write_array
 from microhom.dataset import (
     DatasetConfig,
@@ -18,9 +19,9 @@ from microhom.dataset import (
     stratify_vof,
     validate_dataset,
 )
-from microhom.errors import ConfigError, DomainError
+from microhom.errors import ConfigError, DomainError, PackingError
 from microhom.homogenization import homogenized_stiffness
-from microhom.microstructure import assign_properties
+from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.solver import SolverConfig
 from microhom.voigt import IsotropicProps
 
@@ -233,20 +234,27 @@ class TestGenerateDataset:
         with pytest.raises(DomainError):
             DatasetConfig(n_samples=7, n_vof_groups=2)
 
-    def test_failures_recorded_run_continues(self, tmp_path):
-        # a fiber that cannot fit the periodic cell fails every sample but
-        # must not abort the run
+    def test_failures_recorded_run_continues(self, tmp_path, monkeypatch):
+        # a packing that fails in the pool for sample 0 is recorded, and
+        # sample 1 is still written
         cfg = DatasetConfig(
             n_samples=2,
             n_vof_groups=2,
-            resolution=(64, 64),
-            r_mean=30.0,
+            resolution=(32, 32),
             output_dir=str(tmp_path / "bad"),
         )
+        bad_seed = sample_seed(cfg.master_seed, 0)
+
+        def packing(*args, seed, **kwargs):
+            if seed == bad_seed:
+                raise PackingError("could not pack")
+            return generate_fiber_rve(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(dataset, "generate_fiber_rve", packing)
         manifest = generate_dataset(cfg)
-        assert manifest["samples"] == []
-        assert len(manifest["failures"]) == 2
-        assert all("DomainError" in f["reason"] for f in manifest["failures"])
+        assert [s["index"] for s in manifest["samples"]] == [1]
+        assert manifest["failures"] == [{"index": 0, "reason": "PackingError: could not pack"}]
+        assert sorted(p.name for p in (tmp_path / "bad" / "samples").iterdir()) == ["000001"]
 
     def test_sample_dirs_feed_the_multiscale_seam(self, small_dataset):
         out, _, manifest = small_dataset

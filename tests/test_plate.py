@@ -208,7 +208,7 @@ class TestPlateSolve:
         for state in states:
             scale = state.step / 5
             assert state.applied_displacement == 0.02 * state.step / 5
-            for field in ("displacement", "f_int", "strain_m", "stress_m"):
+            for field in ("displacement", "strain_m", "stress_m"):
                 ref = scale * getattr(last, field)
                 assert np.abs(getattr(state, field) - ref).max() <= 1e-14 * np.abs(ref).max()
             for field in ("residual_norm", "reaction"):
@@ -217,9 +217,23 @@ class TestPlateSolve:
 
     def test_global_equilibrium(self):
         mesh = rect_plate_mesh(4, 8, 0.05, 0.05)
-        states = solve_plate(mesh, homogeneous_tangents(mesh), 2, 0.02)
-        f = states[-1].f_int
+        tangents = homogeneous_tangents(mesh)
+        states = solve_plate(mesh, tangents, 2, 0.02)
+        f = assemble_stiffness(mesh, tangents) @ states[-1].displacement
         assert abs(f.sum()) <= 1e-9 * np.abs(f).sum()
+
+    def test_block_outputs_match_the_global_product(self):
+        # the solve keeps only K_ff and the loaded rows of K: its reaction and
+        # residual must be those of the internal force K u (a unit edge
+        # displacement, so u is the solved one, not a multiple of it)
+        mesh, tangents = distorted_mesh()
+        [state] = solve_plate(mesh, tangents, 1, 1.0)
+        k, u, free = assemble_stiffness(mesh, tangents), state.displacement, mesh.dof_free
+        f = k @ u
+        assert state.reaction == f[mesh.dof_loaded].sum()
+        # both residuals are round-off of K u's free rows, whose scale is |K| |u|
+        roundoff = np.finfo(float).eps * np.linalg.norm((abs(k) @ abs(u))[free])
+        assert abs(state.residual_norm - np.linalg.norm(f[free])) <= roundoff
 
     def test_mirror_symmetry(self):
         nx, ny = 4, 8
