@@ -81,13 +81,16 @@ def read_array(path) -> np.ndarray:
 def write_pgm(path, field: np.ndarray) -> dict:
     """Export a 2D field as a binary PGM (P5) image.
 
-    The field is min-max normalized to 0..255; a constant field degenerates
-    to an all-zero image with a warning.  Image width is the second array
+    The field must be finite, else DomainError before any file is opened.
+    It is min-max normalized to 0..255; a constant field degenerates to an
+    all-zero image with a warning.  Image width is the second array
     axis.  Returns the normalization bounds, also written to <path>.json.
     """
     field = np.asarray(field, dtype=float)
     if field.ndim != 2:
         raise DomainError(f"PGM export needs a 2D field, got shape {field.shape}")
+    if not np.isfinite(field).all():
+        raise DomainError("PGM export needs a finite field, got NaN or inf values")
     lo, hi = float(field.min()), float(field.max())
     if hi == lo:
         warnings.warn("constant field: writing an all-zero image", stacklevel=2)

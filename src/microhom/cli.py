@@ -6,7 +6,7 @@ resolved and checked before any output (microhom.config.resolve): an unknown
 key or a mistyped value is a usage error, a value out of range a domain
 error, each naming the dotted path.  Every run writes the resolved config,
 every default included (also the plate's micro.solver), next to its outputs
-so it can be reproduced bitwise, plus a machine-readable summary JSON.
+so it can be reproduced bitwise, plus a machine-readable summary.json.
 Diagnostics go to stderr.
 
 Exit codes: 0 success, 1 domain error, 2 usage error.
@@ -37,6 +37,7 @@ from .microstructure import (
     Microstructure,
     SpinodalParams,
     assign_properties,
+    checked_grid,
     generate_fiber_rve,
     generate_spinodal_rve,
 )
@@ -81,11 +82,8 @@ def _echo_config(out: Path, cfg: dict):
     (out / "config_echo.json").write_text(json.dumps(cfg, indent=1), encoding="utf-8")
 
 
-def _write_summary(out: Path, summary: dict, summary_path=None):
-    path = Path(summary_path) if summary_path else out / "summary.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(summary, indent=1), encoding="utf-8")
-    return path
+def _write_summary(out: Path, summary: dict):
+    (out / "summary.json").write_text(json.dumps(summary, indent=1), encoding="utf-8")
 
 
 _PROPS = {"E": None, "nu": None}
@@ -145,10 +143,7 @@ def _build_rve(node: dict, domain) -> Microstructure:
     """Materialize a resolved 'rve' node: a stored grid, a uniform phase,
     or a generated fiber/spinodal cell."""
     if "file" in node:
-        grid = read_array(node["file"])
-        if not np.isin(grid, (0, 1)).all():
-            raise DomainError(f"{node['file']}: grid values must be 0 or 1")
-        grid = grid.astype(np.uint8)
+        grid = checked_grid(read_array(node["file"]), node["file"])
         return Microstructure(grid, tuple(domain), float(grid.mean()), seed=-1, kind="file")
     resolution = [int(r) for r in node["resolution"]]
     if "uniform" in node:
@@ -170,8 +165,6 @@ def _cmd_gen_rve(args) -> int:
     rve = _build_rve(cfg["rve"], domain)
     _echo_config(out, cfg)
     write_array(out / "rve.u8.bin", rve.grid)
-    if args.pgm:
-        write_pgm(out / "rve.pgm", rve.grid.astype(float))
     summary = {
         "kind": rve.kind,
         "resolution": list(rve.grid.shape),
@@ -181,7 +174,7 @@ def _cmd_gen_rve(args) -> int:
         "n_fibers": None if rve.centers_radii is None else len(rve.centers_radii),
         "metadata": rve.metadata,
     }
-    _write_summary(out, summary, args.summary)
+    _write_summary(out, summary)
     _log(args.verbose, f"wrote {out / 'rve.u8.bin'} (vof {rve.achieved_vof:.4f})")
     return 0
 
@@ -208,7 +201,7 @@ def _cmd_solve(args) -> int:
         "residual": result.residual_history[-1] if result.residual_history else 0.0,
         "mean_stress": result.stress.mean(axis=(0, 1)).tolist(),
     }
-    _write_summary(out, summary, args.summary)
+    _write_summary(out, summary)
     return 0
 
 
@@ -234,7 +227,7 @@ def _cmd_homogenize(args) -> int:
         "nu_eff": eff.nu,
         "loads": conc.metadata["loads"],
     }
-    _write_summary(out, summary, args.summary)
+    _write_summary(out, summary)
     _log(args.verbose, f"E_eff = {eff.E:.6g} GPa, nu_eff = {eff.nu:.6g}")
     return 0
 
@@ -262,7 +255,7 @@ def _cmd_dataset(args) -> int:
         "n_failed": len(manifest["failures"]),
         "config_hash": manifest["config_hash"],
     }
-    _write_summary(Path(summary["output_dir"]), summary, args.summary)
+    _write_summary(Path(dcfg.output_dir), summary)
     _log(args.verbose, f"generated {summary['n_generated']} samples")
     if manifest["failures"]:
         raise DomainError(f"{summary['n_failed']} of {summary['n_requested']} samples failed, "
@@ -273,9 +266,7 @@ def _cmd_dataset(args) -> int:
 def _cmd_multiscale(args) -> int:
     cfg = _load_config(args)
     cfg["workers"] = _workers(args, cfg)
-    summary = plate_mod.run_multiscale(cfg, args.out)
-    if args.summary:
-        _write_summary(Path(args.out), summary, args.summary)
+    plate_mod.run_multiscale(cfg, args.out)
     return 0
 
 
@@ -321,12 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
                        help="override a config key (dotted path, JSON value)")
         p.add_argument("--out", default=out_default, help="output directory")
-        p.add_argument("--summary", help="summary JSON path (default <out>/summary.json)")
         p.add_argument("--verbose", action="store_true")
 
     p = sub.add_parser("gen-rve", help="generate a microstructure")
     common(p, "rve_out")
-    p.add_argument("--pgm", action="store_true", help="also export a PGM image")
     p.set_defaults(func=_cmd_gen_rve)
 
     p = sub.add_parser("solve", help="solve one cell under a macro strain")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -25,7 +26,13 @@ from .config import Checked, kind, resolve
 from .errors import ConfigError, DomainError
 from .green import make_freq_grid
 from .homogenization import ConcentrationField, strain_concentration
-from .microstructure import VOF_MAX, assign_properties, check_fiber_fits, generate_fiber_rve
+from .microstructure import (
+    VOF_MAX,
+    assign_properties,
+    check_fiber_fits,
+    checked_grid,
+    generate_fiber_rve,
+)
 from .solver import SolverConfig, convergence_metric
 from .voigt import IsotropicProps
 
@@ -181,11 +188,11 @@ def read_sample(sdir):
     recorded solver tol in conc.metadata, or the default tol for a cell that
     has none, such as a predicted field.  Raises DomainError naming the
     directory when a file is missing or unreadable, sample.json is not an
-    object or lacks a numeric property, the grid holds anything but 0 and 1,
-    or the concentration field does not match the grid."""
+    object or lacks a numeric property, the grid is not a 2-D array of 0s
+    and 1s, or the concentration field does not match the grid."""
     sdir = Path(sdir)
     try:
-        grid = read_array(sdir / "rve.u8.bin")
+        grid = checked_grid(read_array(sdir / "rve.u8.bin"), "rve.u8.bin")
         a_field = read_array(sdir / "a_field.f64.bin")
         info = json.loads((sdir / "sample.json").read_text(encoding="utf-8"))
         if not isinstance(info, dict):
@@ -198,9 +205,7 @@ def read_sample(sdir):
         tol = info.get("tol", SolverConfig().tol)
         if kind(tol) != "a number" or not tol > 0:
             raise ValueError(f"sample.json tol must be a positive number, got {tol!r}")
-        if not np.isin(grid, (0, 1)).all():
-            raise ValueError("grid values must be 0 or 1")
-        if grid.ndim != 2 or a_field.shape != grid.shape + (3, 3):
+        if a_field.shape != grid.shape + (3, 3):
             raise ValueError(f"a_field shape {a_field.shape} does not match grid {grid.shape}")
         fiber = IsotropicProps(props["E_f"], props["nu_f"])
         matrix = IsotropicProps(props["E_m"], props["nu_m"])
@@ -275,13 +280,13 @@ def generate_dataset(cfg: DatasetConfig) -> dict:
 def validate_dataset(root) -> list:
     """Re-check a dataset directory against its manifest.
 
-    The manifest config fixes each sample's file map and grid shape, and
-    every file under samples/ must be referenced exactly once.  Each file is
-    read once, by read_sample.  The concentration field must average to the
-    identity and be in equilibrium: each unit load's Tol, recomputed on the
-    config's domain from A and the stiffness rebuilt from the grid and
-    properties, within the recorded tol.  Returns a list of problems, empty
-    if clean.
+    The manifest config fixes each sample's file map and grid shape, each
+    sample directory must be named by one entry only, and every file under
+    samples/ must be referenced.  Each file is read once, by read_sample.
+    The concentration field must average to the identity and be in
+    equilibrium: each unit load's Tol, recomputed on the config's domain
+    from A and the stiffness rebuilt from the grid and properties, within
+    the recorded tol.  Returns a list of problems, empty if clean.
     """
     root = Path(root)
     try:
@@ -301,11 +306,18 @@ def validate_dataset(root) -> list:
     freqs = make_freq_grid(cfg.resolution, cfg.domain_size)
     problems = []
     referenced = set()
+    named = Counter()
     for i, entry in enumerate(samples):
         try:
             sdir, names = root / entry["dir"], entry["files"].keys()
         except (AttributeError, KeyError, TypeError):
             problems.append(f"{root / MANIFEST_NAME}: samples[{i}] needs a 'dir' and a 'files' map")
+            continue
+        key = sdir.resolve()
+        named[key] += 1
+        if named[key] == 2:
+            problems.append(f"{sdir}: named by more than one manifest entry")
+        if named[key] > 1:  # checked at its first entry
             continue
         referenced.update((sdir / name).resolve() for name in names)
         if entry["files"] != expected:

@@ -48,10 +48,6 @@ class FreqGrid:
     xi2: np.ndarray
     h: tuple
 
-    @property
-    def shape(self):
-        return self.xi1.shape
-
 
 @dataclass(frozen=True)
 class GreenField:

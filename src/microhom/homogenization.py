@@ -53,10 +53,6 @@ class ConcentrationField:
     a: np.ndarray  # (T1, T2, 3, 3)
     metadata: dict = field(default_factory=dict)
 
-    @property
-    def shape(self):
-        return self.a.shape[:2]
-
 
 def _lane_count(n_pixels: int) -> int:
     """Threads for the three unit loads of an n_pixels cell: 1 below

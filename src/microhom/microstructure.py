@@ -297,6 +297,16 @@ def _check_range(c: np.ndarray, step: int):
         )
 
 
+def checked_grid(array: np.ndarray, source) -> np.ndarray:
+    """A stored cell grid as uint8, once it is known to be 2-D and to hold
+    only 0 and 1; else DomainError naming `source`."""
+    if array.ndim != 2:
+        raise DomainError(f"{source}: grid must be 2-D, got shape {array.shape}")
+    if not np.isin(array, (0, 1)).all():
+        raise DomainError(f"{source}: grid values must be 0 or 1")
+    return array.astype(np.uint8, copy=False)
+
+
 def assign_properties(m, fiber: IsotropicProps, matrix: IsotropicProps) -> np.ndarray:
     """Per-pixel stiffness field from the characteristic function.
 

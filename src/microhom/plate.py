@@ -101,10 +101,8 @@ class GRFConfig(Checked):
     mean: float
     std: float = 0.0
     corr_length: float = 0.1
-    n_modes: Optional[int] = None  # None: smallest count carrying 95% of the trace
     seed: int = 0
-    RANGES = {"mean": "positive", "std": ">= 0", "corr_length": "positive",
-              "n_modes": ">= 0", "seed": ">= 0"}
+    RANGES = {"mean": "positive", "std": ">= 0", "corr_length": "positive", "seed": ">= 0"}
 
 
 @dataclass
@@ -336,13 +334,12 @@ def kl_field(mesh: MacroMesh, cfg: GRFConfig) -> np.ndarray:
 
     The covariance std^2 * exp(-|X-X'|^2 / (2 l^2)) is evaluated at element
     centroids and eigendecomposed; the field is the mean plus the sum of
-    sqrt(eigenvalue) * eigenvector * (standard normal draw) over the leading
-    modes.  With n_modes unset, the smallest count capturing 95% of the
-    covariance trace is used.  Identical config and seed give identical
-    fields bitwise.
+    sqrt(eigenvalue) * eigenvector * (standard normal draw) over the fewest
+    leading modes that carry 95% of the covariance trace.  Identical config
+    and seed give identical fields bitwise.
     """
     n_el = len(mesh.elems)
-    if cfg.std == 0.0 or cfg.n_modes == 0:
+    if cfg.std == 0.0:
         return np.full(n_el, cfg.mean)
     centroids = mesh.nodes[mesh.elems].mean(axis=1)
     d2 = ((centroids[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
@@ -350,10 +347,7 @@ def kl_field(mesh: MacroMesh, cfg: GRFConfig) -> np.ndarray:
     vals, vecs = np.linalg.eigh(cov)
     vals, vecs = vals[::-1], vecs[:, ::-1]
     vals = np.clip(vals, 0.0, None)
-    if cfg.n_modes is not None:
-        k = min(cfg.n_modes, n_el)
-    else:
-        k = int(np.searchsorted(np.cumsum(vals), 0.95 * vals.sum()) + 1)
+    k = int(np.searchsorted(np.cumsum(vals), 0.95 * vals.sum()) + 1)
     rho = np.random.default_rng(cfg.seed).standard_normal(k)
     return cfg.mean + vecs[:, :k] @ (np.sqrt(vals[:k]) * rho)
 

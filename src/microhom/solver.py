@@ -49,7 +49,7 @@ lines (a 16^2 disc cell of contrast 10 near Tol 2e-4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -106,7 +106,6 @@ class SolveResult:
     residual_history: list
     converged: bool
     mean_strain_history: Optional[np.ndarray] = None  # (iterations, 3) if recorded
-    metadata: dict = field(default_factory=dict)
 
 
 def convergence_metric(stress_hat: np.ndarray, freqs: FreqGrid) -> float:
@@ -214,12 +213,12 @@ def _lower(failure, load: int, error: Exception):
     return (load, error) if failure is None or load < failure[0] else failure
 
 
-def _result(stacked, strain, stress, iterations, histories, means, metadata) -> SolveResult:
+def _result(stacked, strain, stress, iterations, histories, means) -> SolveResult:
     if stacked:
         means = None if means is None else [np.array(h) for h in means]
-        return SolveResult(strain, stress, iterations, histories, True, means, metadata)
+        return SolveResult(strain, stress, iterations, histories, True, means)
     means = None if means is None else np.array(means[0])
-    return SolveResult(strain[0], stress[0], iterations, histories[0], True, means, metadata)
+    return SolveResult(strain[0], stress[0], iterations, histories[0], True, means)
 
 
 def solve_unit_load(
@@ -279,7 +278,7 @@ def solve_unit_load(
     histories = [[] for _ in range(n_loads)]
     if m == 0:
         zeros = np.zeros((n_loads, T1, T2, 3))
-        return _result(stacked, zeros, zeros.copy(), 0, histories, None, {})
+        return _result(stacked, zeros, zeros.copy(), 0, histories, None)
     means = [[] for _ in range(n_loads)] if record_history else None
     prefix = "load {}: " if stacked else ""
 
@@ -376,11 +375,5 @@ def solve_unit_load(
         while order[k] != k:
             _swap(k, order[k], order, (eps, work))
     return _result(
-        stacked,
-        eps.transpose(0, 2, 3, 1),
-        work.transpose(0, 2, 3, 1),
-        n_updates,
-        histories,
-        means,
-        {"lame0": (green.lame0.lam, green.lame0.mu)},
+        stacked, eps.transpose(0, 2, 3, 1), work.transpose(0, 2, 3, 1), n_updates, histories, means
     )

@@ -191,6 +191,22 @@ class TestUsageErrors:
         ]) == 1
         assert str(grid) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", [(8,), (8, 8, 2)], ids=["1-D", "3-D"])
+    @pytest.mark.parametrize("command", ["gen-rve", "solve", "homogenize"])
+    def test_grid_file_not_2d_exits_1_without_output(self, tmp_path, capsys, command, shape):
+        grid = tmp_path / "grid.u8.bin"
+        write_array(grid, np.zeros(shape, dtype=np.uint8))
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out), "--set", f"rve.file={grid}"]
+        if command != "gen-rve":
+            for item in ("fiber_props.E=10.0 fiber_props.nu=0.3 "
+                         "matrix_props.E=2.0 matrix_props.nu=0.3").split():
+                argv += ["--set", item]
+        assert dispatch(argv) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(grid) in err[0] and "2-D" in err[0]
+
     @pytest.mark.parametrize("cell", [
         "rve.file=missing.bin", "rve.uniform=1 rve.resolution=[64]", "rve.uniform=1 domain=[50.0]",
     ])
@@ -420,19 +436,30 @@ class TestExportImage:
         if component == "5":
             assert "component 5" in err and "(8, 8, 3)" in err
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_exits_1_without_output(self, tmp_path, capsys, bad):
+        arr = np.arange(64.0).reshape(8, 8)
+        arr[3, 5] = bad
+        src = tmp_path / "a.bin"
+        write_array(src, arr)
+        pgm = tmp_path / "a.pgm"
+        assert dispatch(["export-image", "--field", str(src), "--out", str(pgm)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "finite" in err[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
+
 
 class TestGenRveSpinodal:
-    def test_writes_grid_and_pgm(self, tmp_path):
+    def test_writes_grid(self, tmp_path):
         cfg = write_config(
             tmp_path / "s.json",
             {"rve": {"spinodal": {"steps": 40, "seed": 2}, "resolution": [64, 64]}},
         )
         out = tmp_path / "sp"
-        assert dispatch(["gen-rve", "--config", cfg, "--out", str(out), "--pgm"]) == 0
+        assert dispatch(["gen-rve", "--config", cfg, "--out", str(out)]) == 0
         grid = read_array(out / "rve.u8.bin")
         assert grid.shape == (64, 64)
         assert set(np.unique(grid)) <= {0, 1}
-        assert (out / "rve.pgm").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert 0.0 < summary["achieved_vof"] < 1.0
         # the phase field conserves its mean: 0.5 plus zero-mean noise

@@ -132,7 +132,8 @@ class TestGenerateDataset:
         assert any("not referenced" in p for p in problems)
 
     @pytest.mark.parametrize("defect", ["non-object sample.json", "grid value 2",
-                                        "a_field removed", "files map edited"])
+                                        "a_field removed", "files map edited",
+                                        "sample listed twice"])
     def test_validate_applies_the_sample_checks(self, small_dataset, tmp_path, defect):
         out, _, _ = small_dataset
         scratch = tmp_path / "copy"
@@ -148,7 +149,10 @@ class TestGenerateDataset:
             (sdir / "a_field.f64.bin").unlink()
         else:
             manifest = json.loads((scratch / "manifest.json").read_text())
-            manifest["samples"][1]["files"]["rve.u8.bin"] = [32, 32]
+            if defect == "files map edited":
+                manifest["samples"][1]["files"]["rve.u8.bin"] = [32, 32]
+            else:
+                manifest["samples"].append(manifest["samples"][1])
             (scratch / "manifest.json").write_text(json.dumps(manifest))
         problems = validate_dataset(scratch)
         assert len(problems) == 1 and str(sdir) in problems[0]

@@ -72,7 +72,7 @@ class TestModifiedFrequencies:
     def test_rejects_continuous_scheme(self):
         with pytest.raises(DomainError, match="unknown scheme"):
             make_freq_grid((8, 8), (8.0, 8.0), "continuous")
-        assert make_freq_grid((8, 8), (8.0, 8.0), ROTATED).shape == (8, 8)
+        assert make_freq_grid((8, 8), (8.0, 8.0), ROTATED).xi1.shape == (8, 8)
 
 
 def _n_planes(gf):

@@ -297,7 +297,6 @@ class TestKlField:
     def test_constant_cases(self):
         mesh = rect_plate_mesh(5, 5, 0.05, 0.05)
         assert np.all(kl_field(mesh, GRFConfig(74.0, std=0.0)) == 74.0)
-        assert np.all(kl_field(mesh, GRFConfig(74.0, std=2.0, n_modes=0)) == 74.0)
 
     def test_bitwise_reproducible(self):
         mesh = rect_plate_mesh(6, 4, 0.05, 0.05)
@@ -305,18 +304,29 @@ class TestKlField:
         assert np.array_equal(kl_field(mesh, cfg), kl_field(mesh, cfg))
 
     def test_monte_carlo_moments(self):
-        # full-rank expansion: sample mean within 3 standard errors of the
-        # mean, sample variance within 10% of std^2, at three probe elements
+        # The draws span K modes, the fewest carrying 95% of the covariance
+        # trace.  At three probe elements the sample mean is within 3
+        # standard errors of the mean and the sample variance within 10% of
+        # the truncated expansion's own, sum_{k<K} lambda_k v_k(p)^2, which
+        # sits up to 8% below std^2 here.
         mesh = rect_plate_mesh(5, 5, 0.05, 0.05)
         n_draws, std = 10_000, 2.0
         draws = np.array([
-            kl_field(mesh, GRFConfig(74.0, std=std, corr_length=0.1, n_modes=25, seed=s))
+            kl_field(mesh, GRFConfig(74.0, std=std, corr_length=0.1, seed=s))
             for s in range(n_draws)
         ])
+        centroids = mesh.nodes[mesh.elems].mean(axis=1)
+        d2 = ((centroids[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        vals, vecs = np.linalg.eigh(std**2 * np.exp(-d2 / (2.0 * 0.1**2)))
+        vals, vecs = np.clip(vals[::-1], 0.0, None), vecs[:, ::-1]
+        share = np.cumsum(vals) / vals.sum()
+        k = np.linalg.matrix_rank(draws - 74.0)
+        assert 1 < k < len(vals) and share[k - 2] < 0.95 <= share[k - 1]
+        kept = (vals[:k] * vecs[:, :k] ** 2).sum(axis=1)
         for probe in (0, 12, 24):
             mean_err = abs(draws[:, probe].mean() - 74.0)
             assert mean_err <= 3.0 * std / np.sqrt(n_draws)
-            assert abs(draws[:, probe].var() / std**2 - 1.0) <= 0.10
+            assert abs(draws[:, probe].var() / kept[probe] - 1.0) <= 0.10
 
     def test_validation(self):
         with pytest.raises(DomainError):
