@@ -233,12 +233,16 @@ def _cmd_homogenize(args) -> int:
 
 
 def _workers(args, cfg: dict) -> int:
-    """--threads wins, then the config, then the available parallelism; a
-    given 0 is passed on, to be rejected, not replaced."""
+    """--threads wins, then the config, then the CPUs this process may run
+    on; a given 0 is passed on, to be rejected, not replaced."""
     if args.threads is not None:
         return args.threads
     workers = cfg.get("workers")
-    return workers if workers is not None else os.cpu_count() or 1
+    if workers is not None:
+        return workers
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _cmd_dataset(args) -> int:
@@ -328,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dataset", help="batch-produce a labeled dataset")
     common(p, None)
-    p.add_argument("--threads", type=int, help="worker pool size")
+    p.add_argument("--threads", type=int, help="worker processes, the calling one included")
     p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("multiscale", help="two-scale plate analysis")

@@ -1,13 +1,15 @@
 """Command-line surface: exit codes, delegation, config echo, image export."""
 
+import argparse
 import json
+import os
 
 import numpy as np
 import pytest
 
 from microhom import dataset as dataset_mod
 from microhom.arrayio import read_array, write_array
-from microhom.cli import dispatch
+from microhom.cli import _workers, dispatch
 from microhom.dataset import DatasetConfig, config_to_dict, write_sample
 from microhom.errors import PackingError
 from microhom.homogenization import strain_concentration
@@ -174,6 +176,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "grf_matrix draws modulus -" in err[0] and "at element" in err[0]
         assert not out.exists()
+
+    def test_default_workers_are_the_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        no_flag = argparse.Namespace(threads=None)
+        assert _workers(no_flag, {}) == 2
+        assert _workers(no_flag, {"workers": 5}) == 5
+        assert _workers(argparse.Namespace(threads=7), {"workers": 5}) == 7
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _workers(no_flag, {}) == 64
 
     @pytest.mark.parametrize("command", ["gen-rve", "solve", "homogenize"])
     def test_threads_only_on_pooled_commands(self, command):

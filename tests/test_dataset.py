@@ -1,6 +1,7 @@
 """Dataset pipeline: sampling design, stratification, batch generation."""
 
 import json
+import multiprocessing
 import shutil
 
 import numpy as np
@@ -277,13 +278,58 @@ class TestGenerateDataset:
         with pytest.warns(UserWarning, match="homogenized stiffness asymmetry"):
             homogenized_stiffness(c_field, conc)
 
-    def test_workers_match_serial(self, small_dataset, tmp_path):
+    def test_workers_match_serial(self, tmp_path):
+        # the caller's and the pool's shares merge back in index order
+        runs = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            generate_dataset(DatasetConfig(
+                n_samples=6, n_vof_groups=2, resolution=(32, 32), master_seed=5,
+                workers=workers, output_dir=str(out)))
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["config"]["workers"], manifest["config"]["output_dir"]
+            files = {p.relative_to(out): p.read_bytes()
+                     for p in sorted((out / "samples").rglob("*")) if p.is_file()}
+            runs[workers] = manifest, files
+        assert len(runs[1][1]) == 6 * 3
+        assert runs[1] == runs[2] == runs[3]
+
+    def test_array_error_names_its_path_once(self, small_dataset, tmp_path):
         out, _, _ = small_dataset
-        echo = json.loads((out / "config_echo.json").read_text())
-        echo["output_dir"] = str(tmp_path / "par")
-        echo["workers"] = 2
-        generate_dataset(config_from_dict(echo))
-        for i in range(2):
-            a = (out / "samples" / f"{i:06d}" / "a_field.f64.bin").read_bytes()
-            b = (tmp_path / "par" / "samples" / f"{i:06d}" / "a_field.f64.bin").read_bytes()
-            assert a == b
+        scratch = tmp_path / "copy"
+        shutil.copytree(out, scratch)
+        sdir = scratch / "samples" / "000000"
+        (sdir / "rve.u8.bin").unlink()
+        with pytest.raises(DomainError) as err:
+            read_sample(sdir)
+        assert str(err.value).startswith(f"{sdir / 'rve.u8.bin'}: cannot read")
+        assert str(err.value).count(str(sdir)) == 1
+
+
+class TestWorkerPool:
+    """Failures on a helper process's sample, at workers=2 (odd indices)."""
+
+    def run(self, tmp_path, monkeypatch, error):
+        cfg = DatasetConfig(n_samples=4, n_vof_groups=2, resolution=(32, 32),
+                            workers=2, output_dir=str(tmp_path / "pool"))
+        bad_seed = sample_seed(cfg.master_seed, 1)
+
+        def packing(*args, seed, **kwargs):
+            if seed == bad_seed:
+                raise error
+            return generate_fiber_rve(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(dataset, "generate_fiber_rve", packing)
+        return generate_dataset(cfg)
+
+    def test_domain_error_is_recorded_and_the_run_continues(self, tmp_path, monkeypatch):
+        manifest = self.run(tmp_path, monkeypatch, PackingError("could not pack"))
+        assert [s["index"] for s in manifest["samples"]] == [0, 2, 3]
+        assert manifest["failures"] == [{"index": 1, "reason": "PackingError: could not pack"}]
+        assert multiprocessing.active_children() == []
+
+    def test_other_error_is_raised_as_itself(self, tmp_path, monkeypatch):
+        with pytest.raises(RuntimeError, match="^worker fault$") as err:
+            self.run(tmp_path, monkeypatch, RuntimeError("worker fault"))
+        assert type(err.value) is RuntimeError  # not BrokenProcessPool
+        assert multiprocessing.active_children() == []
