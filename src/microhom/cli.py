@@ -30,6 +30,7 @@ from .config import kind, resolve
 from .errors import ConfigError, DomainError
 from .homogenization import (
     anisotropy_indicator,
+    cell_operator,
     homogenized_stiffness,
     strain_concentration,
 )
@@ -192,7 +193,8 @@ def _cmd_solve(args) -> int:
     rve = _build_rve(cfg["rve"], domain)
     _echo_config(out, cfg)
     c_field = assign_properties(rve, fiber, matrix)
-    result = solve_unit_load(c_field, macro, solver, domain=domain)
+    green = cell_operator(c_field, domain)
+    result = solve_unit_load(c_field, macro, solver, green)
     write_array(out / "strain.f64.bin", result.strain)
     write_array(out / "stress.f64.bin", result.stress)
     summary = {
@@ -200,6 +202,7 @@ def _cmd_solve(args) -> int:
         "iterations": result.iterations,
         "residual": result.residual_history[-1] if result.residual_history else 0.0,
         "mean_stress": result.stress.mean(axis=(0, 1)).tolist(),
+        "lame0": [green.lame0.lam, green.lame0.mu],
     }
     _write_summary(out, summary)
     return 0
@@ -226,6 +229,7 @@ def _cmd_homogenize(args) -> int:
         "E_eff": eff.E,
         "nu_eff": eff.nu,
         "loads": conc.metadata["loads"],
+        "lame0": list(conc.metadata["lame0"]),
     }
     _write_summary(out, summary)
     _log(args.verbose, f"E_eff = {eff.E:.6g} GPa, nu_eff = {eff.nu:.6g}")
@@ -233,10 +237,10 @@ def _cmd_homogenize(args) -> int:
 
 
 def _workers(args, cfg: dict) -> int:
-    """--threads wins, then the config, then the CPUs this process may run
+    """--workers wins, then the config, then the CPUs this process may run
     on; a given 0 is passed on, to be rejected, not replaced."""
-    if args.threads is not None:
-        return args.threads
+    if args.workers is not None:
+        return args.workers
     workers = cfg.get("workers")
     if workers is not None:
         return workers
@@ -332,12 +336,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dataset", help="batch-produce a labeled dataset")
     common(p, None)
-    p.add_argument("--threads", type=int, help="worker processes, the calling one included")
+    p.add_argument("--workers", type=int, help="worker processes, the calling one included")
     p.set_defaults(func=_cmd_dataset)
 
     p = sub.add_parser("multiscale", help="two-scale plate analysis")
     common(p, "multiscale_out")
-    p.add_argument("--threads", type=int, help="worker pool size")
+    p.add_argument("--workers", type=int, help="threads that solve the cells")
     p.set_defaults(func=_cmd_multiscale)
 
     p = sub.add_parser("export-image", help="render an array file component to PGM")

@@ -18,8 +18,8 @@ import json
 import multiprocessing
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -254,7 +254,9 @@ def generate_dataset(cfg: DatasetConfig) -> dict:
     Material rows come from a Latin hypercube over the property bounds, the
     volume-fraction labels from even stratification.  Per-sample failures are
     recorded in the manifest with their reason and the run continues; any
-    other exception stops the run and is raised as itself.
+    other exception stops the run and is raised as itself.  A worker process
+    that dies (killed, or out of memory) stops the run once the caller's
+    share is done, with a DomainError naming the samples it held.
 
     The run takes cfg.workers processes, the caller among them.  The caller
     solves indices 0, workers, 2*workers, ...; a pool of workers - 1
@@ -280,12 +282,19 @@ def generate_dataset(cfg: DatasetConfig) -> dict:
                                    mp_context=multiprocessing.get_context("fork"))
     results = [None] * cfg.n_samples
     try:
-        done = pool.map(_sample_or_failure, repeat(cfg), helped, props[helped],
-                        vofs[helped], repeat(root)) if pool is not None else ()
+        done = {i: pool.submit(_sample_or_failure, cfg, i, props[i], vofs[i], root)
+                for i in helped}
         for i in range(0, cfg.n_samples, cfg.workers):
             results[i] = _sample_or_failure(cfg, i, props[i], vofs[i], root)
-        for i, result in zip(helped, done):
-            results[i] = result
+        lost = []
+        for i, future in done.items():
+            try:
+                results[i] = future.result()
+            except BrokenProcessPool:
+                lost.append(str(i))
+        if lost:
+            raise DomainError(f"dataset {root}: a worker process died holding samples "
+                              f"{', '.join(lost)}; no manifest was written")
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)  # an error stops the queued samples

@@ -14,7 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonConvergenceError
-from .green import green_operator, lame_fields_from_stiffness, make_freq_grid, reference_material
+from .green import (
+    GreenField, green_operator, lame_fields_from_stiffness, make_freq_grid, reference_material,
+)
 from .solver import SolverConfig, solve_unit_load
 
 UNIT_LOADS = np.eye(3)
@@ -91,6 +93,17 @@ def _solve_on_lanes(c_field, config, green, a) -> list:
         return [solve(0)] + [f.result() for f in helped]
 
 
+def cell_operator(c_field: np.ndarray, domain=None) -> GreenField:
+    """The Green operator of a (T1, T2, 3, 3) stiffness field on a cell of
+    physical size domain (L1, L2), by default one unit per pixel: its
+    frequency grid, with the midpoint reference medium of its pixels."""
+    T1, T2 = np.shape(c_field)[:2]
+    if domain is None:
+        domain = (float(T1), float(T2))
+    grid = make_freq_grid((T1, T2), domain)
+    return green_operator(grid, reference_material(*lame_fields_from_stiffness(c_field)))
+
+
 def strain_concentration(
     c_field: np.ndarray, config: SolverConfig, domain=None
 ) -> ConcentrationField:
@@ -98,8 +111,8 @@ def strain_concentration(
 
     Column j of A(x) is the strain field under the unit macro strain e_j, so
     A(x) : ebar reproduces the micro strain of any load by superposition.
-    The frequency grid and Green operator are built once and shared by the
-    three solves.
+    The cell's Green operator (cell_operator) is built once and shared by
+    the three solves.
 
     A cell of fewer than LANE_MIN_PIXELS (128^2) pixels, as in the dataset
     and plate pools, goes to solve_unit_load as one stack of the three
@@ -115,11 +128,7 @@ def strain_concentration(
     """
     c_field = np.asarray(c_field, dtype=float)
     T1, T2 = c_field.shape[:2]
-    if domain is None:
-        domain = (float(T1), float(T2))
-    grid = make_freq_grid((T1, T2), domain)
-    lam, mu = lame_fields_from_stiffness(c_field)
-    green = green_operator(grid, reference_material(lam, mu))
+    green = cell_operator(c_field, domain)
 
     a = np.empty((T1, T2, 3, 3))
 

@@ -61,11 +61,7 @@ from .green import (
     FreqGrid,
     GreenField,
     apply_green,
-    green_operator,
-    lame_fields_from_stiffness,
-    make_freq_grid,
     pairs,
-    reference_material,
     wrap,
 )
 
@@ -225,8 +221,7 @@ def solve_unit_load(
     c_field: np.ndarray,
     macro_strain,
     config: SolverConfig,
-    domain=None,
-    green: Optional[GreenField] = None,
+    green: GreenField,
     record_history: bool = False,
 ) -> SolveResult:
     """Solve the periodic cell under a prescribed mean strain, or a stack of them.
@@ -241,10 +236,8 @@ def solve_unit_load(
             iteration count, and as iterations the number of lockstep
             iterations, i.e. of Green applications.
         config: iteration settings.
-        domain: physical cell size (L1, L2); defaults to unit pixels.
-            Unused when green is given, which carries its pixel sizes.
-        green: optional precomputed Green operator, reused across the unit
-            loads of a concentration solve; it must match the field's
+        green: the cell's Green operator (homogenization.cell_operator),
+            which carries its pixel sizes; it must match the field's
             (T1, T2), else DomainError.
         record_history: keep the mean strain of every iterate in
             mean_strain_history.
@@ -282,11 +275,6 @@ def solve_unit_load(
     means = [[] for _ in range(n_loads)] if record_history else None
     prefix = "load {}: " if stacked else ""
 
-    if green is None:
-        if domain is None:
-            domain = (float(T1), float(T2))
-        lam, mu = lame_fields_from_stiffness(c_field)
-        green = green_operator(make_freq_grid((T1, T2), domain), reference_material(lam, mu))
     if green.shape != (T1, T2):
         raise DomainError(f"Green operator {green.shape} does not match the {(T1, T2)} field")
 

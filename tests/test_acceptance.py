@@ -15,6 +15,7 @@ from oracles import dense_fixed_point_solution, disc_rve
 
 from microhom.dataset import DatasetConfig, config_from_dict, generate_dataset
 from microhom.homogenization import (
+    cell_operator,
     homogenized_stiffness,
     reuss_voigt_bounds,
     strain_concentration,
@@ -87,9 +88,8 @@ def test_criterion_02_dense_oracle_equivalence():
         ]
         for c_field in cases:
             for load in np.eye(3):
-                res = solve_unit_load(
-                    c_field, load, SolverConfig(tol=1e-10), domain=(16.0, 16.0)
-                )
+                green = cell_operator(c_field, (16.0, 16.0))
+                res = solve_unit_load(c_field, load, SolverConfig(tol=1e-10), green)
                 oracle = dense_fixed_point_solution(c_field, load, (16.0, 16.0))
                 rel = np.linalg.norm(res.strain - oracle) / np.linalg.norm(oracle)
                 assert rel <= 1e-6
@@ -124,7 +124,8 @@ def test_criterion_03_convergence_contract(tmp_path):
         )
         macro = [1.0, 0.0, 0.0]
         res = solve_unit_load(
-            c_field, macro, SolverConfig(tol=1e-6), domain=DOMAIN, record_history=True
+            c_field, macro, SolverConfig(tol=1e-6), cell_operator(c_field, DOMAIN),
+            record_history=True,
         )
         assert res.converged and res.residual_history[-1] <= 1e-6
         assert np.abs(res.mean_strain_history - macro).max() <= 1e-10

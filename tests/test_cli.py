@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -149,8 +150,8 @@ class TestUsageErrors:
         assert len(err) == 1 and "unknown config key" in err[0]
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("zero", [["--threads", "0"], ["--set", "workers=0"]],
-                             ids=["threads", "workers"])
+    @pytest.mark.parametrize("zero", [["--workers", "0"], ["--set", "workers=0"]],
+                             ids=["flag", "workers"])
     @pytest.mark.parametrize("command,small", [
         pytest.param("dataset", "n_samples=1 n_vof_groups=1 resolution=[32,32]", id="dataset"),
         pytest.param("multiscale", "nx=1 ny=1 micro.resolution=[32,32]", id="multiscale"),
@@ -180,17 +181,17 @@ class TestUsageErrors:
     def test_default_workers_are_the_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
-        no_flag = argparse.Namespace(threads=None)
+        no_flag = argparse.Namespace(workers=None)
         assert _workers(no_flag, {}) == 2
         assert _workers(no_flag, {"workers": 5}) == 5
-        assert _workers(argparse.Namespace(threads=7), {"workers": 5}) == 7
+        assert _workers(argparse.Namespace(workers=7), {"workers": 5}) == 7
         monkeypatch.delattr(os, "sched_getaffinity")
         assert _workers(no_flag, {}) == 64
 
     @pytest.mark.parametrize("command", ["gen-rve", "solve", "homogenize"])
-    def test_threads_only_on_pooled_commands(self, command):
+    def test_workers_only_on_pooled_commands(self, command):
         with pytest.raises(SystemExit) as exc:
-            dispatch([command, "--threads", "2"])
+            dispatch([command, "--workers", "2"])
         assert exc.value.code == 2
 
     @pytest.mark.parametrize("stored", [True, False], ids=["values-0.5", "missing-file"])
@@ -359,6 +360,27 @@ class TestDatasetAndValidate:
         assert str(out / "manifest.json") in err[0]
         assert len(json.loads((out / "manifest.json").read_text())["failures"]) == 2
 
+    def test_dead_worker_process_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # the helper process exits abruptly, as when it is killed for memory
+        real = dataset_mod._generate_one
+
+        def dies_on_sample_1(cfg, index, *args):
+            if index == 1:
+                os._exit(3)
+            return real(cfg, index, *args)
+
+        monkeypatch.setattr(dataset_mod, "_generate_one", dies_on_sample_1)
+        out = tmp_path / "ds"
+        argv = ["dataset", "--out", str(out), "--workers", "2"]
+        for item in "n_samples=4 n_vof_groups=2 resolution=[32,32]".split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(out) in err[0]
+        assert "worker process died holding samples 1, 3" in err[0]
+        assert multiprocessing.active_children() == []
+        assert not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize(
         "manifest", ["[]", '{"samples": [{"dir": "samples/000000"}]}'],
         ids=["array", "entry-without-files"],
@@ -495,6 +517,30 @@ class TestSolveCommand:
         assert strain.shape == (32, 32, 3)
         summary = json.loads((out / "summary.json").read_text())
         assert summary["iterations"] == 1
+
+    @pytest.mark.parametrize("resolution", [64, 128], ids=["stack", "lanes"])
+    def test_each_unit_load_is_its_homogenize_column_bitwise(self, tmp_path, resolution):
+        # solve and homogenize build the same Green operator for a cell, so
+        # a unit load's strain is the column of A that the lockstep stack
+        # (64^2) or the load's own lane (128^2) solved
+        cell = {
+            "rve": {"fiber": {"vof": 0.5, "seed": 3}, "resolution": [resolution] * 2},
+            "fiber_props": {"E": 85.0, "nu": 0.2},
+            "matrix_props": {"E": 2.5, "nu": 0.35},
+        }
+        cfg = write_config(tmp_path / "c.json", cell)
+        assert dispatch(["homogenize", "--config", cfg, "--out", str(tmp_path / "h")]) == 0
+        a = read_array(tmp_path / "h" / "a_field.f64.bin")
+        lame0 = json.loads((tmp_path / "h" / "summary.json").read_text())["lame0"]
+        assert lame0[0] > 0 and lame0[1] > 0
+        for j in range(3):
+            out = tmp_path / f"s{j}"
+            macro = json.dumps(np.eye(3)[j].tolist())
+            argv = ["solve", "--config", cfg, "--out", str(out), "--set", f"macro_strain={macro}"]
+            assert dispatch(argv) == 0
+            strain = read_array(out / "strain.f64.bin")
+            assert strain.tobytes() == np.ascontiguousarray(a[..., :, j]).tobytes()
+            assert json.loads((out / "summary.json").read_text())["lame0"] == lame0
 
 
 SMALL_PLATE = {

@@ -17,7 +17,7 @@ from microhom.green import (
     make_freq_grid,
     reference_material,
 )
-from microhom.homogenization import strain_concentration
+from microhom.homogenization import cell_operator, strain_concentration
 from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.solver import SolveResult, SolverConfig, convergence_metric, solve_unit_load
 from microhom.voigt import IsotropicProps, Lame, stiffness_from_enu, stiffness_from_lame
@@ -28,7 +28,7 @@ class TestHomogeneous:
         c = stiffness_from_enu(IsotropicProps(5.0, 0.3))
         c_field = np.broadcast_to(c, (32, 32, 3, 3)).copy()
         for macro in ([1.0, 0.0, 0.0], [0.2, -0.4, 0.9]):
-            res = solve_unit_load(c_field, macro, SolverConfig())
+            res = solve_unit_load(c_field, macro, SolverConfig(), cell_operator(c_field))
             assert res.converged
             assert res.iterations == 1
             assert np.abs(res.strain - np.asarray(macro)).max() <= 1e-12
@@ -40,8 +40,10 @@ class TestDenseOracle:
     def test_16px_inclusion(self, T, load):
         # an even grid and an odd one, whose frequencies have no Nyquist bin
         c_field = disc_rve(T, 4, contrast=10.0)
-        res = solve_unit_load(c_field, load, SolverConfig(tol=1e-10), domain=(float(T),) * 2)
-        oracle = dense_fixed_point_solution(c_field, load, (float(T),) * 2)
+        domain = (float(T),) * 2
+        green = cell_operator(c_field, domain)
+        res = solve_unit_load(c_field, load, SolverConfig(tol=1e-10), green)
+        oracle = dense_fixed_point_solution(c_field, load, domain)
         rel = np.linalg.norm(res.strain - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-6
 
@@ -91,11 +93,12 @@ class TestLockstep:
         # a zero load rides along with no iterations of its own
         loads = np.array([[1.0, 0, 0], [0, 0, 1], [0, 0, 0], [0.3, -0.2, 0.5], [0, 1, 0]])
         config = SolverConfig(tol=1e-9)
-        stack = solve_unit_load(c_field, loads, config, record_history=True)
+        green = cell_operator(c_field)
+        stack = solve_unit_load(c_field, loads, config, green, record_history=True)
         assert stack.strain.shape == stack.stress.shape == (5,) + shape + (3,)
         counts = []
         for j, load in enumerate(loads):
-            one = solve_unit_load(c_field, load, config, record_history=True)
+            one = solve_unit_load(c_field, load, config, green, record_history=True)
             assert stack.strain[j].tobytes() == one.strain.tobytes()
             assert stack.stress[j].tobytes() == one.stress.tobytes()
             assert stack.residual_history[j] == one.residual_history
@@ -107,14 +110,16 @@ class TestLockstep:
         assert stack.iterations == max(counts)
 
     def test_all_zero_stack(self):
-        res = solve_unit_load(disc_rve(16, 4, contrast=10.0), np.zeros((2, 3)), SolverConfig())
+        c_field = disc_rve(16, 4, contrast=10.0)
+        res = solve_unit_load(c_field, np.zeros((2, 3)), SolverConfig(), cell_operator(c_field))
         assert res.iterations == 0 and res.residual_history == [[], []]
         assert res.strain.shape == (2, 16, 16, 3) and not res.strain.any() and not res.stress.any()
 
     @pytest.mark.parametrize("bad", [np.ones((2, 4)), np.ones((2, 3, 1))])
     def test_rejects_other_shapes(self, bad):
+        c_field = disc_rve(16, 4, contrast=10.0)
         with pytest.raises(DomainError, match="macro strain"):
-            solve_unit_load(disc_rve(16, 4, contrast=10.0), bad, SolverConfig())
+            solve_unit_load(c_field, bad, SolverConfig(), cell_operator(c_field))
 
 
 class TestLockstepFailures:
@@ -131,7 +136,7 @@ class TestLockstepFailures:
     @staticmethod
     def _error(c_field, load, config):
         with pytest.raises(NonConvergenceError) as exc:
-            solve_unit_load(c_field, load, config)
+            solve_unit_load(c_field, load, config, cell_operator(c_field))
         return exc.value
 
     def test_a_higher_load_failing_first_does_not_pre_empt_a_lower_one(self):
@@ -172,8 +177,10 @@ class TestLockstepFailures:
 
     def test_the_cap_fails_the_lowest_unconverged_load(self):
         c_field = disc_rve((24, 40), 7, contrast=34.0)
+        green = cell_operator(c_field)
         iterations = [
-            solve_unit_load(c_field, load, SolverConfig(tol=1e-9)).iterations for load in np.eye(3)
+            solve_unit_load(c_field, load, SolverConfig(tol=1e-9), green).iterations
+            for load in np.eye(3)
         ]
         assert iterations[2] < iterations[1]  # the shear load converges first
         config = SolverConfig(tol=1e-9, max_iter=iterations[2])
@@ -212,7 +219,7 @@ class TestCallCounts:
         for load in [*np.eye(3), np.eye(3)]:
             for key in calls:
                 calls[key] = 0
-            n = solve_unit_load(c_field, load, SolverConfig()).iterations
+            n = solve_unit_load(c_field, load, SolverConfig(), cell_operator(c_field)).iterations
             assert n > 1
             assert calls == {"fft2": 2 * n + 1, "ifft2": 0, "apply_green": n}
 
@@ -323,7 +330,9 @@ class TestMeanFieldAndHistory:
     def test_mean_preserved_every_iteration(self):
         c_field = disc_rve(16, 4, contrast=10.0)
         macro = [0.3, -0.1, 0.2]
-        res = solve_unit_load(c_field, macro, SolverConfig(tol=1e-8), record_history=True)
+        res = solve_unit_load(
+            c_field, macro, SolverConfig(tol=1e-8), cell_operator(c_field), record_history=True
+        )
         assert res.mean_strain_history is not None
         dev = np.abs(res.mean_strain_history - np.asarray(macro)).max()
         assert dev <= 1e-10
@@ -331,7 +340,7 @@ class TestMeanFieldAndHistory:
     def test_residual_trend(self):
         # allows local oscillation but catches divergence
         c_field = disc_rve(32, 8, contrast=25.0)
-        res = solve_unit_load(c_field, [1, 0, 0], SolverConfig(tol=1e-9))
+        res = solve_unit_load(c_field, [1, 0, 0], SolverConfig(tol=1e-9), cell_operator(c_field))
         h = res.residual_history
         for n in range(len(h) - 10):
             assert h[n + 10] < h[n]
@@ -340,7 +349,7 @@ class TestMeanFieldAndHistory:
         iters = []
         for contrast in (2.0, 10.0, 25.0):
             c_field = disc_rve(32, 8, contrast=contrast)
-            res = solve_unit_load(c_field, [1, 0, 0], SolverConfig())
+            res = solve_unit_load(c_field, [1, 0, 0], SolverConfig(), cell_operator(c_field))
             iters.append(res.iterations)
         assert iters[0] <= iters[1] <= iters[2]
 
@@ -369,21 +378,21 @@ class TestFailFast:
         c_field = disc_rve(16, 4, contrast=10.0)
         c_field[3, 3] = stiffness_from_lame(Lame(-3.0, 1.0))
         with pytest.raises(NonConvergenceError, match="not positive definite") as exc:
-            solve_unit_load(c_field, [1, 0, 0], SolverConfig())
+            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), cell_operator(c_field))
         assert len(exc.value.history) < 50
 
     def test_non_finite_tol_raises_at_once(self):
         c_field = disc_rve(16, 4, contrast=10.0)
         c_field[3, 3, 0, 0] = np.nan
         with pytest.raises(NonConvergenceError, match="not finite") as exc:
-            solve_unit_load(c_field, [1, 0, 0], SolverConfig())
+            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), cell_operator(c_field))
         assert len(exc.value.history) == 1 and not np.isfinite(exc.value.history[0])
 
 
 class TestEdges:
     def test_zero_load_short_circuits(self):
         c_field = disc_rve(16, 4, contrast=10.0)
-        res = solve_unit_load(c_field, [0.0, 0.0, 0.0], SolverConfig())
+        res = solve_unit_load(c_field, [0.0, 0.0, 0.0], SolverConfig(), cell_operator(c_field))
         assert res.converged
         assert res.iterations == 0
         assert np.all(res.strain == 0.0) and np.all(res.stress == 0.0)
@@ -397,7 +406,9 @@ class TestEdges:
     def test_nonconvergence_carries_history(self):
         c_field = disc_rve(16, 4, contrast=25.0)
         with pytest.raises(NonConvergenceError) as exc:
-            solve_unit_load(c_field, [1, 0, 0], SolverConfig(tol=1e-12, max_iter=3))
+            solve_unit_load(
+                c_field, [1, 0, 0], SolverConfig(tol=1e-12, max_iter=3), cell_operator(c_field)
+            )
         assert len(exc.value.history) == 3
 
     def test_metric_rejects_zero_mean_stress(self):
@@ -428,7 +439,8 @@ class TestEdges:
         # the last Tol, bitwise, from the returned stress and the solver's
         # own residual helper
         c_field = disc_rve((17, 16), 4, contrast=34.0)
-        res = solve_unit_load(c_field, [0.3, -0.2, 0.5], SolverConfig(), domain=domain)
+        green = cell_operator(c_field, domain)
+        res = solve_unit_load(c_field, [0.3, -0.2, 0.5], SolverConfig(), green)
         h1, h2 = domain[0] / 17, domain[1] / 16
         packed = np.zeros((1, 18, 17), complex)
         stress = np.ascontiguousarray(res.stress.transpose(2, 0, 1))[None]
@@ -443,7 +455,7 @@ class TestEdges:
         for domain in [(17.0, 16.0), (25.5, 16.0)]:
             grid = make_freq_grid((17, 16), domain)
             for load in ([0.3, -0.2, 0.5], [1, 0, 0], [0, 0, 1]):
-                res = solve_unit_load(c_field, load, SolverConfig(), domain=domain)
+                res = solve_unit_load(c_field, load, SolverConfig(), cell_operator(c_field, domain))
                 stress_hat = np.fft.fft2(np.ascontiguousarray(res.stress.transpose(2, 0, 1)))
                 tol = res.residual_history[-1]
                 metric = convergence_metric(stress_hat.transpose(1, 2, 0), grid)
@@ -474,7 +486,7 @@ class TestLaminateClosedForm:
         grid[: T // 2] = 1
         fiber, matrix = IsotropicProps(4.0, 0.0), IsotropicProps(1.0, 0.0)
         c_field = assign_properties(grid, fiber, matrix)
-        res = solve_unit_load(c_field, [0, 0, 1.0], SolverConfig(tol=1e-12))
+        res = solve_unit_load(c_field, [0, 0, 1.0], SolverConfig(tol=1e-12), cell_operator(c_field))
         mu_f, mu_m = 2.0, 0.5  # E/(2(1+nu))
         harm = 2.0 / (0.5 / mu_f + 0.5 / mu_m) / 2.0
         assert_allclose(res.stress[..., 2], 2 * harm, rtol=1e-9)
@@ -485,7 +497,7 @@ class TestLaminateClosedForm:
         grid[: T // 2] = 1
         fiber, matrix = IsotropicProps(10.0, 0.3), IsotropicProps(1.0, 0.2)
         c_field = assign_properties(grid, fiber, matrix)
-        res = solve_unit_load(c_field, [1.0, 0, 0], SolverConfig(tol=1e-12))
+        res = solve_unit_load(c_field, [1.0, 0, 0], SolverConfig(tol=1e-12), cell_operator(c_field))
         # sigma11 uniform; effective (lam+2mu) is the harmonic mean
         beta = c_field[..., 0, 0]
         harm = 1.0 / np.mean(1.0 / beta)
