@@ -115,61 +115,55 @@ def _props(cfg: dict, key: str) -> IsotropicProps:
     return IsotropicProps(float(node["E"]), float(node["nu"]))
 
 
-def _cell_config(args, **defaults) -> dict:
-    """Resolve a config with an 'rve' node, a 'domain' and `defaults`.
+def _cell(args, **defaults) -> tuple[dict, Microstructure]:
+    """Resolve a cell command's config, an 'rve' node, a 'domain' and
+    `defaults`, and build its cell.
 
-    The 'rve' node keeps only the first cell kind of _RVE_KINDS the user
-    gave (plus its resolution, but for a file cell), so the echo reruns it.
+    The user's 'rve' names exactly one kind of _RVE_KINDS, and only that
+    kind is resolved: with 'resolution', but for a file cell, which drops
+    any given beside it.  So the echo reruns the cell.
     """
     raw = _load_config(args)
-    if isinstance(raw.get("rve"), dict) and "file" in raw["rve"]:
-        raw["rve"].pop("resolution", None)
-    cfg = resolve({**_CELL_DEFAULTS, **defaults}, raw, _CELL_RANGES)
     given = raw.get("rve", {})
-    cell = next((k for k in _RVE_KINDS if k in given), None)
-    if cell is None:
-        raise ConfigError("'rve' needs one of: " + ", ".join(_RVE_KINDS))
-    node = cfg["rve"]
-    uniform = node["uniform"]
-    if cell == "uniform" and (kind(uniform) != "a number" or uniform not in (0, 1)):
-        raise ConfigError("'rve.uniform' must be 0 or 1")
+    if not isinstance(given, dict):
+        raise ConfigError(f"'rve' must be an object, got {kind(given)}")
+    named = [k for k in _RVE_KINDS if k in given]
+    if len(named) != 1:
+        raise ConfigError(f"'rve' needs exactly one of: {', '.join(_RVE_KINDS)}; "
+                          f"got {', '.join(named) or 'none'}")
+    cell = named[0]
+    kept = {cell: _RVE_DEFAULTS[cell], "resolution": _RVE_DEFAULTS["resolution"]}
     if cell == "file":
-        cfg["rve"] = {"file": str(node["file"])}
+        del kept["resolution"]
+        given.pop("resolution", None)
+    cfg = resolve({**_CELL_DEFAULTS, "rve": kept, **defaults}, raw, _CELL_RANGES)
+    domain, node = tuple(float(v) for v in cfg["domain"]), cfg["rve"]
+    if cell == "file":
+        path = node["file"] = str(node["file"])
+        grid = checked_grid(read_array(path), path)
+    elif cell == "uniform":
+        if kind(node["uniform"]) != "a number" or node["uniform"] not in (0, 1):
+            raise ConfigError("'rve.uniform' must be 0 or 1")
+        grid = np.full(tuple(node["resolution"]), int(node["uniform"]), dtype=np.uint8)
     else:
-        cfg["rve"] = {cell: node[cell], "resolution": node["resolution"]}
-    return cfg
-
-
-def _build_rve(node: dict, domain) -> Microstructure:
-    """Materialize a resolved 'rve' node: a stored grid, a uniform phase,
-    or a generated fiber/spinodal cell."""
-    if "file" in node:
-        grid = checked_grid(read_array(node["file"]), node["file"])
-        return Microstructure(grid, tuple(domain), float(grid.mean()), seed=-1, kind="file")
-    resolution = [int(r) for r in node["resolution"]]
-    if "uniform" in node:
-        phase = int(node["uniform"])
-        grid = np.full(tuple(resolution), phase, dtype=np.uint8)
-        return Microstructure(grid, tuple(domain), float(phase), seed=-1, kind="uniform")
-    if "fiber" in node:
-        sub = dict(node["fiber"])
-        return generate_fiber_rve(sub.pop("vof"), domain=domain, resolution=resolution, **sub)
-    sub = dict(node["spinodal"])
-    seed = int(sub.pop("seed"))
-    return generate_spinodal_rve(SpinodalParams(**sub), domain, resolution, seed)
+        sub, resolution = dict(node[cell]), node["resolution"]
+        if cell == "fiber":
+            vof = sub.pop("vof")
+            return cfg, generate_fiber_rve(vof, domain=domain, resolution=resolution, **sub)
+        seed = sub.pop("seed")
+        return cfg, generate_spinodal_rve(SpinodalParams(**sub), domain, resolution, seed)
+    return cfg, Microstructure(grid, domain, float(grid.mean()), seed=-1, kind=cell)
 
 
 def _cmd_gen_rve(args) -> int:
-    cfg = _cell_config(args)
-    domain = [float(v) for v in cfg["domain"]]
+    cfg, rve = _cell(args)
     out = Path(args.out)
-    rve = _build_rve(cfg["rve"], domain)
     _echo_config(out, cfg)
     write_array(out / "rve.u8.bin", rve.grid)
     summary = {
         "kind": rve.kind,
         "resolution": list(rve.grid.shape),
-        "domain": list(domain),
+        "domain": list(rve.domain_size),
         "achieved_vof": rve.achieved_vof,
         "seed": rve.seed,
         "n_fibers": None if rve.centers_radii is None else len(rve.centers_radii),
@@ -180,44 +174,42 @@ def _cmd_gen_rve(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    cfg = _cell_config(
-        args, fiber_props=_PROPS, matrix_props=_PROPS,
-        macro_strain=[1.0, 0.0, 0.0], solver=_SOLVER,
-    )
-    domain = [float(v) for v in cfg["domain"]]
-    macro = [float(v) for v in cfg["macro_strain"]]
+def _solved_cell(args, **defaults):
+    """A solving command's config, cell, stiffness field and solver settings;
+    the phase properties are read and the config echoed before this returns."""
+    # the keyword order is the echo's key order
+    cfg, rve = _cell(args, fiber_props=_PROPS, matrix_props=_PROPS, **defaults, solver=_SOLVER)
     fiber, matrix = _props(cfg, "fiber_props"), _props(cfg, "matrix_props")
     solver = SolverConfig(**cfg["solver"])
+    _echo_config(Path(args.out), cfg)
+    return cfg, rve, assign_properties(rve, fiber, matrix), solver
+
+
+def _cmd_solve(args) -> int:
+    cfg, rve, c_field, solver = _solved_cell(args, macro_strain=[1.0, 0.0, 0.0])
+    macro = [float(v) for v in cfg["macro_strain"]]
     out = Path(args.out)
-    rve = _build_rve(cfg["rve"], domain)
-    _echo_config(out, cfg)
-    c_field = assign_properties(rve, fiber, matrix)
-    green = cell_operator(c_field, domain)
+    green = cell_operator(c_field, rve.domain_size)
     result = solve_unit_load(c_field, macro, solver, green)
     write_array(out / "strain.f64.bin", result.strain)
     write_array(out / "stress.f64.bin", result.stress)
+    residual = result.residual_history[-1] if result.residual_history else 0.0
     summary = {
         "macro_strain": macro,
         "iterations": result.iterations,
-        "residual": result.residual_history[-1] if result.residual_history else 0.0,
+        "residual": residual,
         "mean_stress": result.stress.mean(axis=(0, 1)).tolist(),
         "lame0": [green.lame0.lam, green.lame0.mu],
     }
     _write_summary(out, summary)
+    _log(args.verbose, f"{result.iterations} iterations, residual {residual:.3e}")
     return 0
 
 
 def _cmd_homogenize(args) -> int:
-    cfg = _cell_config(args, fiber_props=_PROPS, matrix_props=_PROPS, solver=_SOLVER)
-    domain = [float(v) for v in cfg["domain"]]
-    fiber, matrix = _props(cfg, "fiber_props"), _props(cfg, "matrix_props")
-    solver = SolverConfig(**cfg["solver"])
+    cfg, rve, c_field, solver = _solved_cell(args)
     out = Path(args.out)
-    rve = _build_rve(cfg["rve"], domain)
-    _echo_config(out, cfg)
-    c_field = assign_properties(rve, fiber, matrix)
-    conc = strain_concentration(c_field, solver, domain=domain)
+    conc = strain_concentration(c_field, solver, domain=rve.domain_size)
     cbar, asym = homogenized_stiffness(c_field, conc)
     eff = effective_enu(cbar)
     write_array(out / "a_field.f64.bin", conc.a)
@@ -274,7 +266,9 @@ def _cmd_dataset(args) -> int:
 def _cmd_multiscale(args) -> int:
     cfg = _load_config(args)
     cfg["workers"] = _workers(args, cfg)
-    plate_mod.run_multiscale(cfg, args.out)
+    summary = plate_mod.run_multiscale(cfg, args.out)
+    reaction = summary["reaction_table"][-1]["reaction"]
+    _log(args.verbose, f"{summary['n_elements']} elements, last step's reaction {reaction:.6g}")
     return 0
 
 
@@ -293,7 +287,8 @@ def _cmd_export_image(args) -> int:
             f"field is {field.ndim}-D after component selection; need 2-D "
             "(use --component)"
         )
-    write_pgm(args.out, field)
+    bounds = write_pgm(args.out, field)
+    _log(args.verbose, f"wrote {args.out} (min {bounds['min']:.6g}, max {bounds['max']:.6g})")
     return 0
 
 
@@ -315,34 +310,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default):
+    def common(name, func, help, out_default, workers=None):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY.PATH=VALUE",
                        help="override a config key (dotted path, JSON value)")
         p.add_argument("--out", default=out_default, help="output directory")
         p.add_argument("--verbose", action="store_true")
+        if workers:
+            p.add_argument("--workers", type=int, help=workers)
+        p.set_defaults(func=func)
 
-    p = sub.add_parser("gen-rve", help="generate a microstructure")
-    common(p, "rve_out")
-    p.set_defaults(func=_cmd_gen_rve)
-
-    p = sub.add_parser("solve", help="solve one cell under a macro strain")
-    common(p, "solve_out")
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("homogenize", help="concentration field and effective properties")
-    common(p, "homogenize_out")
-    p.set_defaults(func=_cmd_homogenize)
-
-    p = sub.add_parser("dataset", help="batch-produce a labeled dataset")
-    common(p, None)
-    p.add_argument("--workers", type=int, help="worker processes, the calling one included")
-    p.set_defaults(func=_cmd_dataset)
-
-    p = sub.add_parser("multiscale", help="two-scale plate analysis")
-    common(p, "multiscale_out")
-    p.add_argument("--workers", type=int, help="threads that solve the cells")
-    p.set_defaults(func=_cmd_multiscale)
+    common("gen-rve", _cmd_gen_rve, "generate a microstructure", "rve_out")
+    common("solve", _cmd_solve, "solve one cell under a macro strain", "solve_out")
+    common("homogenize", _cmd_homogenize, "concentration field and effective properties",
+           "homogenize_out")
+    common("dataset", _cmd_dataset, "batch-produce a labeled dataset", None,
+           workers="worker processes, the calling one included")
+    common("multiscale", _cmd_multiscale, "two-scale plate analysis", "multiscale_out",
+           workers="threads that solve the cells")
 
     p = sub.add_parser("export-image", help="render an array file component to PGM")
     p.add_argument("--field", required=True, help="array file")

@@ -33,6 +33,7 @@ from .microstructure import (
     VOF_MAX,
     assign_properties,
     check_fiber_fits,
+    check_vof_order,
     checked_grid,
     generate_fiber_rve,
 )
@@ -77,8 +78,7 @@ class DatasetConfig(Checked):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.vof_range[0] > self.vof_range[1]:
-            raise DomainError(f"vof_range must be ordered lo <= hi, got {self.vof_range}")
+        check_vof_order(self.vof_range)
         for name in _BOUNDS:
             lo, hi = getattr(self, name)
             if not lo < hi:
@@ -255,8 +255,8 @@ def generate_dataset(cfg: DatasetConfig) -> dict:
     volume-fraction labels from even stratification.  Per-sample failures are
     recorded in the manifest with their reason and the run continues; any
     other exception stops the run and is raised as itself.  A worker process
-    that dies (killed, or out of memory) stops the run once the caller's
-    share is done, with a DomainError naming the samples it held.
+    that dies (killed, or out of memory) stops the run before the caller's
+    next sample, with a DomainError naming the samples it held.
 
     The run takes cfg.workers processes, the caller among them.  The caller
     solves indices 0, workers, 2*workers, ...; a pool of workers - 1
@@ -284,7 +284,13 @@ def generate_dataset(cfg: DatasetConfig) -> dict:
     try:
         done = {i: pool.submit(_sample_or_failure, cfg, i, props[i], vofs[i], root)
                 for i in helped}
+        raised = []  # helper futures that ended in an exception, as they end
+        for future in done.values():
+            future.add_done_callback(
+                lambda f: f.cancelled() or f.exception() is None or raised.append(f))
         for i in range(0, cfg.n_samples, cfg.workers):
+            if raised:  # the collection below raises; solve no more
+                break
             results[i] = _sample_or_failure(cfg, i, props[i], vofs[i], root)
         lost = []
         for i, future in done.items():

@@ -136,6 +136,12 @@ def check_fiber_fits(r_mean: float, gap_frac: float, domain) -> None:
                           f"= {span:g}, not less than the cell's shorter side {min(domain):g}")
 
 
+def check_vof_order(vof_range) -> None:
+    """Raise DomainError unless vof_range is ordered lo <= hi."""
+    if vof_range[0] > vof_range[1]:
+        raise DomainError(f"vof_range must be ordered lo <= hi, got {tuple(vof_range)}")
+
+
 def generate_fiber_rve(
     vof_target: float,
     r_mean: float,

@@ -46,7 +46,7 @@ from .homogenization import (
     reconstruct_strain,
     strain_concentration,
 )
-from .microstructure import assign_properties, check_fiber_fits, generate_fiber_rve
+from .microstructure import assign_properties, check_fiber_fits, check_vof_order, generate_fiber_rve
 from .solver import SolverConfig
 from .voigt import IsotropicProps
 
@@ -410,6 +410,7 @@ def run_multiscale(raw_config: dict, out_dir) -> dict:
     a reaction-force summary, returns the summary."""
     cfg = resolve(_MULTISCALE_DEFAULTS, raw_config, _MULTISCALE_RANGES)
     micro = cfg["micro"]
+    check_vof_order(micro["vof_range"])
     check_fiber_fits(micro["r_mean"], micro["gap_frac"], micro["domain"])
     mesh = rect_plate_mesh(cfg["nx"], cfg["ny"], *cfg["elem_size"])
     n_el = len(mesh.elems)

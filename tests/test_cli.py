@@ -4,6 +4,7 @@ import argparse
 import json
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,9 @@ from microhom.homogenization import strain_concentration
 from microhom.microstructure import Microstructure, assign_properties
 from microhom.solver import SolverConfig
 from microhom.voigt import IsotropicProps
+
+
+PROPS = "fiber_props.E=10.0 fiber_props.nu=0.3 matrix_props.E=2.0 matrix_props.nu=0.3"
 
 
 def write_config(path, cfg):
@@ -76,6 +80,14 @@ class TestUsageErrors:
                 "matrix_props.E=3.0 matrix_props.nu=0.3",
                 id="homogenize-fiber_props.E=abc",
             ),
+            pytest.param(
+                "gen-rve", 'rve={"fiber":{},"spinodal":{},"resolution":[64,64]}',
+                id="gen-rve-two-kinds",
+            ),
+            pytest.param(
+                "homogenize", f"rve.uniform=1 rve.file=missing.bin {PROPS}",
+                id="homogenize-uniform-and-file",
+            ),
         ],
     )
     def test_malformed_config_exits_2_before_echo(self, tmp_path, command, override):
@@ -97,7 +109,7 @@ class TestUsageErrors:
         "grf_matrix.seed=-1", "grf_fiber.std=Infinity", "grf_fiber.mean=NaN",
         "micro.resolution=[16,16]", "micro.r_mean=0", "micro.domain=[NaN,50]",
         "newton_tol=Infinity", "grf_matrix.std=10", "grf_fiber.mean=1 grf_fiber.std=5",
-        "nx=1 ny=1 micro.resolution=[32,32] micro.r_mean=30",
+        "nx=1 ny=1 micro.resolution=[32,32] micro.r_mean=30", "micro.vof_range=[0.6,0.4] nx=1 ny=1",
     ])
     def test_invalid_multiscale_value_exits_1_before_echo(self, tmp_path, capsys, override):
         out = tmp_path / "o"
@@ -212,8 +224,7 @@ class TestUsageErrors:
         out = tmp_path / "o"
         argv = [command, "--out", str(out), "--set", f"rve.file={grid}"]
         if command != "gen-rve":
-            for item in ("fiber_props.E=10.0 fiber_props.nu=0.3 "
-                         "matrix_props.E=2.0 matrix_props.nu=0.3").split():
+            for item in PROPS.split():
                 argv += ["--set", item]
         assert dispatch(argv) == 1
         assert not out.exists()
@@ -227,8 +238,7 @@ class TestUsageErrors:
     def test_bad_cell_exits_1_without_output(self, tmp_path, capsys, command, cell):
         out = tmp_path / "o"
         argv = [command, "--out", str(out)]
-        props = "fiber_props.E=10.0 fiber_props.nu=0.3 matrix_props.E=2.0 matrix_props.nu=0.3"
-        for item in (cell if command == "gen-rve" else f"{cell} {props}").split():
+        for item in (cell if command == "gen-rve" else f"{cell} {PROPS}").split():
             argv += ["--set", item]
         assert dispatch(argv) == 1
         assert not out.exists()
@@ -361,10 +371,13 @@ class TestDatasetAndValidate:
         assert len(json.loads((out / "manifest.json").read_text())["failures"]) == 2
 
     def test_dead_worker_process_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch):
-        # the helper process exits abruptly, as when it is killed for memory
+        # the helper process exits abruptly, as when it is killed for memory,
+        # while the caller is still on its first sample: it solves no other
         real = dataset_mod._generate_one
 
         def dies_on_sample_1(cfg, index, *args):
+            if index == 0:
+                time.sleep(1.0)
             if index == 1:
                 os._exit(3)
             return real(cfg, index, *args)
@@ -372,14 +385,15 @@ class TestDatasetAndValidate:
         monkeypatch.setattr(dataset_mod, "_generate_one", dies_on_sample_1)
         out = tmp_path / "ds"
         argv = ["dataset", "--out", str(out), "--workers", "2"]
-        for item in "n_samples=4 n_vof_groups=2 resolution=[32,32]".split():
+        for item in "n_samples=8 n_vof_groups=2 resolution=[32,32]".split():
             argv += ["--set", item]
         assert dispatch(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(out) in err[0]
-        assert "worker process died holding samples 1, 3" in err[0]
+        assert "worker process died holding samples 1, 3, 5, 7" in err[0]
         assert multiprocessing.active_children() == []
         assert not (out / "manifest.json").exists()
+        assert [p.name for p in (out / "samples").iterdir()] == ["000000"]
 
     @pytest.mark.parametrize(
         "manifest", ["[]", '{"samples": [{"dir": "samples/000000"}]}'],
@@ -623,3 +637,32 @@ class TestMultiscaleCommand:
         assert len(summary["reaction_table"]) == 2
         disp = read_array(out / "step_02" / "displacement.f64.bin")
         assert disp.shape == (2 * 3 * 4,)
+
+
+TINY_RUNS = {
+    "gen-rve": "rve.uniform=1 rve.resolution=[8,8]",
+    "solve": f"rve.uniform=1 rve.resolution=[8,8] {PROPS}",
+    "homogenize": f"rve.uniform=1 rve.resolution=[8,8] {PROPS}",
+    "dataset": "n_samples=1 n_vof_groups=1 resolution=[32,32] workers=1",
+    "multiscale": "nx=1 ny=1 load_steps=1 workers=1 micro.resolution=[32,32]",
+}
+
+
+@pytest.mark.parametrize("verbose", [True, False], ids=["verbose", "quiet"])
+@pytest.mark.parametrize("command", [*TINY_RUNS, "validate", "export-image"])
+def test_verbose_prints_one_stderr_line(tmp_path, capsys, command, verbose):
+    out = tmp_path / "o"
+    if command == "validate":
+        assert dispatch(["dataset", "--out", str(out), "--set", "n_samples=1",
+                         "--set", "n_vof_groups=1", "--set", "resolution=[32,32]"]) == 0
+        argv = ["validate", "--dataset", str(out)]
+    elif command == "export-image":
+        write_array(tmp_path / "f.f64.bin", np.arange(12.0).reshape(3, 4))
+        argv = ["export-image", "--field", str(tmp_path / "f.f64.bin"), "--out", str(out)]
+    else:
+        argv = [command, "--out", str(out)]
+        for item in TINY_RUNS[command].split():
+            argv += ["--set", item]
+    capsys.readouterr()
+    assert dispatch(argv + ["--verbose"] * verbose) == 0
+    assert len(capsys.readouterr().err.splitlines()) == verbose
