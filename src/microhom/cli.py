@@ -7,9 +7,10 @@ key or a mistyped value is a usage error, a value out of range a domain
 error, each naming the dotted path.  Every run writes the resolved config,
 every default included (also the plate's micro.solver), next to its outputs
 so it can be reproduced bitwise, plus a machine-readable summary.json.
-Diagnostics go to stderr.
+Diagnostics go to stderr, one line each, library warnings included.
 
-Exit codes: 0 success, 1 domain error, 2 usage error.
+Exit codes: 0 success, 1 domain error (or an output that cannot be
+written), 2 usage error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -92,8 +94,8 @@ _CELL = dataset_mod.DatasetConfig()  # the fiber cell's packing defaults
 _SOLVER = asdict(SolverConfig())
 _RVE_KINDS = ("file", "uniform", "fiber", "spinodal")
 _RVE_DEFAULTS = {
-    "file": None,
-    "uniform": None,
+    "file": "",
+    "uniform": 0,
     "fiber": {"vof": 0.5, "r_mean": _CELL.r_mean, "r_std_frac": _CELL.r_std_frac,
               "seed": 0, "gap_frac": _CELL.gap_frac},
     "spinodal": {**asdict(SpinodalParams()), "seed": 0},
@@ -105,14 +107,14 @@ _CELL_RANGES = {  # rules for config.resolve; a fiber cell's other keys are data
     "domain": "positive", "solver": SolverConfig.RANGES,
     "fiber_props": _PROPS_RANGES, "matrix_props": _PROPS_RANGES, "rve": {
         "fiber": {**_CELL.RANGES, "vof": _CELL.RANGES["vof_range"], "seed": ">= 0"},
-        "spinodal": {**SpinodalParams.RANGES, "seed": ">= 0"}, "resolution": ">= 1 per axis"}}
+        "spinodal": {**SpinodalParams.RANGES, "seed": ">= 0"}, "uniform": "in [0, 1]",
+        "resolution": ">= 1 per axis"}}
 
 
 def _props(cfg: dict, key: str) -> IsotropicProps:
-    node = cfg[key]
-    if any(kind(v) != "a number" for v in node.values()):
-        raise ConfigError(f"{key!r} must be an object with numeric E and nu")
-    return IsotropicProps(float(node["E"]), float(node["nu"]))
+    if None in cfg[key].values():
+        raise ConfigError(f"{key!r} needs both E and nu")
+    return IsotropicProps(float(cfg[key]["E"]), float(cfg[key]["nu"]))
 
 
 def _cell(args, **defaults) -> tuple[dict, Microstructure]:
@@ -139,12 +141,9 @@ def _cell(args, **defaults) -> tuple[dict, Microstructure]:
     cfg = resolve({**_CELL_DEFAULTS, "rve": kept, **defaults}, raw, _CELL_RANGES)
     domain, node = tuple(float(v) for v in cfg["domain"]), cfg["rve"]
     if cell == "file":
-        path = node["file"] = str(node["file"])
-        grid = checked_grid(read_array(path), path)
+        grid = checked_grid(read_array(node["file"]), node["file"])
     elif cell == "uniform":
-        if kind(node["uniform"]) != "a number" or node["uniform"] not in (0, 1):
-            raise ConfigError("'rve.uniform' must be 0 or 1")
-        grid = np.full(tuple(node["resolution"]), int(node["uniform"]), dtype=np.uint8)
+        grid = np.full(tuple(node["resolution"]), node["uniform"], dtype=np.uint8)
     else:
         sub, resolution = dict(node[cell]), node["resolution"]
         if cell == "fiber":
@@ -348,14 +347,16 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except DomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return args.func(args)
+        except ConfigError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 2
+        except (DomainError, OSError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
 
 
 def main():

@@ -20,15 +20,17 @@ _KINDS = [("an object", dict), ("an array", (list, tuple)), ("a boolean", bool),
 
 
 def kind(value) -> str:
-    """JSON kind of a value: int and float are both numbers, bool is not."""
-    return next((name for name, types in _KINDS if isinstance(value, types)), "null")
+    """JSON kind of a value (int and float are numbers, bool is not), else its type."""
+    return "null" if value is None else next(
+        (name for name, types in _KINDS if isinstance(value, types)), f"a {type(value).__name__}")
 
 
-def _checked(path: str, value, default):
-    """`value` if it has the kind of `default`; a whole number given for an
-    int default comes back as an int."""
-    if default is not None and kind(value) != kind(default):
-        raise ConfigError(f"{path!r} must be {kind(default)}, got {kind(value)}")
+def _checked(path: str, value, default, rule=""):
+    """`value` if it has the kind of `default`, a None one's being null or, by
+    `rule`, a number, else a string; a whole number for an int default is an int."""
+    kinds = [kind(default)] if default is not None else ["null", "a number" if rule else "a string"]
+    if kind(value) not in kinds:
+        raise ConfigError(f"{path!r} must be {' or '.join(kinds)}, got {kind(value)}")
     if type(default) is int and not isinstance(value, int):
         if not float(value).is_integer():
             raise ConfigError(f"{path!r} must be a whole number, got {value}")
@@ -56,10 +58,10 @@ def resolve(defaults: dict, raw: dict, ranges=None, where: str = "") -> dict:
     the dotted path under `where`.  The elements of an array must have the
     kind of the default array's first element.  Where the default is an
     int, the number must be whole and is stored as an int.  A None default
-    accepts any value.  Then an array must keep its default's length and a
-    number be finite and meet its rule in `ranges` (see _holds), a tree that
-    mirrors `defaults`, else DomainError names the path; a None default is
-    exempt unless it holds a number with a rule.
+    takes null, or a number if it has a rule, else a string.  Then an array
+    must keep its default's length and a number be finite and meet its rule
+    in `ranges` (see _holds), a tree that mirrors `defaults`, else
+    DomainError names the path.
     """
     out = copy.deepcopy(defaults)
     for key, value in raw.items():
@@ -67,8 +69,8 @@ def resolve(defaults: dict, raw: dict, ranges=None, where: str = "") -> dict:
         if key not in defaults:
             raise ConfigError(f"unknown config key {path!r}")
         default, rule = defaults[key], (ranges or {}).get(key, "")
-        value = _checked(path, value, default)
-        numbers = [value] if kind(value) == "a number" and (default is not None or rule) else []
+        value = _checked(path, value, default, rule)
+        numbers = [value] if kind(value) == "a number" else []
         if isinstance(default, dict):
             value = resolve(default, value, rule, path)
         elif isinstance(default, (list, tuple)):
@@ -85,9 +87,13 @@ def resolve(defaults: dict, raw: dict, ranges=None, where: str = "") -> dict:
 
 
 class Checked:
-    """Base of a config dataclass with a RANGES table: construction checks the
-    fields as resolve() does, a field with no plain default as a None one."""
+    """Base of a config dataclass with a RANGES table: construction resolves the
+    fields on their defaults (a factory's, or None if required) and keeps the
+    result, arrays as tuples."""
 
     def __post_init__(self):
-        resolve({f.name: None if f.default is MISSING else f.default for f in fields(self)},
-                vars(self), self.RANGES)
+        defaults = {f.name: f.default_factory() if f.default_factory is not MISSING
+                    else None if f.default is MISSING else f.default for f in fields(self)}
+        cfg = resolve(defaults, vars(self), self.RANGES)
+        for name, value in cfg.items():
+            object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)

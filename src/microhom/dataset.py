@@ -98,10 +98,7 @@ class DatasetConfig(Checked):
 def config_from_dict(raw: dict) -> DatasetConfig:
     """Build a DatasetConfig from parsed JSON, rejecting unknown keys and bad values."""
     cfg = resolve(config_to_dict(DatasetConfig()), raw, DatasetConfig.RANGES)
-    solver = SolverConfig(**cfg.pop("solver"))
-    return DatasetConfig(
-        solver=solver, **{k: tuple(v) if isinstance(v, list) else v for k, v in cfg.items()}
-    )
+    return DatasetConfig(**{**cfg, "solver": SolverConfig(**cfg["solver"])})
 
 
 def config_to_dict(cfg: DatasetConfig) -> dict:

@@ -88,15 +88,40 @@ class TestUsageErrors:
                 "homogenize", f"rve.uniform=1 rve.file=missing.bin {PROPS}",
                 id="homogenize-uniform-and-file",
             ),
+            ("gen-rve", "rve.file=5"),
+            ("gen-rve", 'rve.file={"a":1}'),
+            ("gen-rve", "rve.file=null"),
+            ("multiscale", "a_field_dir=5"),
+            ("multiscale", "a_field_dir=true"),
         ],
     )
-    def test_malformed_config_exits_2_before_echo(self, tmp_path, command, override):
+    def test_malformed_config_exits_2_before_echo(self, tmp_path, capsys, command, override):
         out = tmp_path / "o"
         argv = [command, "--out", str(out)]
         for item in override.split():
             argv += ["--set", item]
         assert dispatch(argv) == 2
         assert not (out / "config_echo.json").exists()
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command,override,message", [
+        ("gen-rve", "rve.file=5", "'rve.file' must be a string, got a number"),
+        ("gen-rve", "rve.uniform=0.5", "'rve.uniform' must be a whole number, got 0.5"),
+        ("multiscale", "a_field_dir=true",
+         "'a_field_dir' must be null or a string, got a boolean"),
+        ("homogenize", f"rve.uniform=0 {PROPS} fiber_props.E=abc",
+         "'fiber_props.E' must be null or a number, got a string"),
+        ("homogenize", "rve.uniform=0 fiber_props.E=10.0 matrix_props.E=2.0 matrix_props.nu=0.3",
+         "'fiber_props' needs both E and nu"),
+    ])
+    def test_mistyped_value_names_its_key(self, tmp_path, capsys, command, override, message):
+        out = tmp_path / "o"
+        argv = [command, "--out", str(out)]
+        for item in override.split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("override", [
         "micro.solver.tol=-1", "nx=0", "grf_fiber.std=-1", "load_steps=0", "load_steps=-3",
@@ -233,6 +258,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("cell", [
         "rve.file=missing.bin", "rve.uniform=1 rve.resolution=[64]", "rve.uniform=1 domain=[50.0]",
+        "rve.uniform=2 rve.resolution=[8,8]",
     ])
     @pytest.mark.parametrize("command", ["gen-rve", "solve", "homogenize"])
     def test_bad_cell_exits_1_without_output(self, tmp_path, capsys, command, cell):
@@ -496,6 +522,31 @@ class TestExportImage:
         assert len(err) == 1 and "finite" in err[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bin"]
 
+    def test_constant_field_warns_in_one_line(self, tmp_path, capsys):
+        write_array(tmp_path / "ones.f64.bin", np.ones((4, 4)))
+        argv = ["export-image", "--field", str(tmp_path / "ones.f64.bin"),
+                "--out", str(tmp_path / "ones.pgm")]
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().err == "warning: constant field: writing an all-zero image\n"
+
+
+@pytest.mark.parametrize("command", ["export-image", "dataset"])
+def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys, command):
+    (tmp_path / "file").write_text("")
+    if command == "export-image":
+        write_array(tmp_path / "f.f64.bin", np.arange(12.0).reshape(3, 4))
+        out = tmp_path / "missing" / "f.pgm"
+        argv = ["export-image", "--field", str(tmp_path / "f.f64.bin"), "--out", str(out)]
+    else:
+        out = tmp_path / "file" / "ds"
+        argv = ["dataset", "--out", str(out), "--set", "n_samples=1", "--set", "n_vof_groups=1",
+                "--set", "resolution=[32,32]"]
+    before = sorted(tmp_path.iterdir())
+    assert dispatch(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+    assert sorted(tmp_path.iterdir()) == before
+
 
 class TestGenRveSpinodal:
     def test_writes_grid(self, tmp_path):
@@ -555,6 +606,17 @@ class TestSolveCommand:
             strain = read_array(out / "strain.f64.bin")
             assert strain.tobytes() == np.ascontiguousarray(a[..., :, j]).tobytes()
             assert json.loads((out / "summary.json").read_text())["lame0"] == lame0
+
+
+    @pytest.mark.filterwarnings("always:homogenized stiffness asymmetry:UserWarning")
+    def test_asymmetry_warning_is_one_line(self, tmp_path, capsys):
+        argv = ["homogenize", "--out", str(tmp_path / "h")]
+        for item in ('rve={"fiber":{},"resolution":[32,32]} solver.tol=0.05 fiber_props.E=85 '
+                     "fiber_props.nu=0.2 matrix_props.E=2.5 matrix_props.nu=0.35").split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: homogenized stiffness asymmetry ")
 
 
 SMALL_PLATE = {

@@ -1,11 +1,11 @@
 """The one config resolver: defaults overlaid with user JSON."""
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import pytest
 
-from microhom.config import Checked, resolve
+from microhom.config import Checked, kind, resolve
 from microhom.errors import ConfigError, DomainError
 
 DEFAULTS = {
@@ -78,7 +78,13 @@ def test_int_array_elements_need_whole_numbers():
 
 @pytest.mark.parametrize("value", [3, "text", [1, 2], {"k": {"j": 1}}])
 def test_none_default_accepts_any_value(value):
-    assert resolve(DEFAULTS, {"any": value})["any"] == value
+    # a None default without a rule takes null or a string, no other value
+    assert resolve(DEFAULTS, {"any": None})["any"] is None
+    if kind(value) == "a string":
+        assert resolve(DEFAULTS, {"any": value})["any"] == value
+        return
+    with pytest.raises(ConfigError, match=f"^'any' must be null or a string, got {kind(value)}$"):
+        resolve(DEFAULTS, {"any": value})
 
 
 def test_overrides_leave_defaults_unchanged():
@@ -149,11 +155,18 @@ def test_kind_errors_stay_usage_errors():
 
 @pytest.mark.parametrize("value", ["text", [1, 2, 3], {"k": -1}, float("nan"), -5])
 def test_none_default_without_a_rule_is_exempt(value):
-    assert resolve(TREE, {"open": value}, RANGES)["open"] is value
+    # exempt from range rules, as it holds no number: null or a string only
+    if kind(value) == "a string":
+        assert resolve(TREE, {"open": value}, RANGES)["open"] is value
+        return
+    with pytest.raises(ConfigError, match=f"^'open' must be null or a string, got {kind(value)}$"):
+        resolve(TREE, {"open": value}, RANGES)
 
 
 def test_none_default_holds_a_number_to_its_rule():
-    assert resolve(TREE, {"any": "text"}, RANGES)["any"] == "text"  # not a number: any value
+    with pytest.raises(ConfigError, match="^'any' must be null or a number, got a string$"):
+        resolve(TREE, {"any": "text"}, RANGES)
+    assert resolve(TREE, {"any": None}, RANGES)["any"] is None
     assert resolve(TREE, {"any": 0.5}, RANGES)["any"] == 0.5
     for value in (1.0, float("nan")):
         with pytest.raises(DomainError, match=r"^any must be finite and in \[0, 1\)"):
@@ -182,4 +195,29 @@ class _Cell(Checked):
 def test_checked_dataclass_holds_its_fields_to_its_table(kwargs, message):
     with pytest.raises(DomainError, match=f"^{message}"):
         _Cell(**kwargs)
-    assert _Cell(radius=2.0, sizes=[3.0, 4.0]).sizes == [3.0, 4.0]
+    # the fields hold what resolve returns: arrays as tuples, whole numbers as ints
+    cell = _Cell(radius=2.0, sizes=[3.0, 4.0], seed=2.0)
+    assert cell.sizes == (3.0, 4.0) and type(cell.seed) is int
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"radius": "abc"}, "'radius' must be null or a number, got a string"),
+    ({"radius": 1.0, "seed": 2.5}, "'seed' must be a whole number, got 2.5"),
+    ({"radius": 1.0, "sizes": 1.0}, "'sizes' must be an array, got a number"),
+])
+def test_checked_dataclass_refuses_a_mistyped_field(kwargs, message):
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        _Cell(**kwargs)
+
+
+@dataclass(frozen=True)
+class _Sampler(Checked):
+    cell: _Cell = field(default_factory=lambda: _Cell(radius=1.0))
+    RANGES = {}
+
+
+def test_default_factory_field_has_its_factory_defaults_kind():
+    assert _Sampler(_Cell(radius=2.0)).cell.radius == 2.0
+    for value, got in [({"radius": 2.0}, "an object"), (None, "null")]:
+        with pytest.raises(ConfigError, match=f"^'cell' must be a _Cell, got {got}$"):
+            _Sampler(value)

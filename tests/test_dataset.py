@@ -221,6 +221,20 @@ class TestGenerateDataset:
                 b = (tmp_path / "rerun" / "samples" / f"{i:06d}" / name).read_bytes()
                 assert a == b
 
+    def test_whole_floats_are_held_as_ints(self, small_dataset, tmp_path):
+        out, cfg, _ = small_dataset
+        floats = DatasetConfig(n_samples=2.0, resolution=[64.0, 64], n_vof_groups=2,
+                               master_seed=11.0, solver=SolverConfig(tol=1e-6),
+                               output_dir=str(tmp_path / "floats"))
+        assert type(floats.n_samples) is int and floats.n_samples == 2
+        assert floats.resolution == (64, 64) and type(floats.resolution[0]) is int
+        assert config_hash(floats) == config_hash(cfg)
+        generate_dataset(floats)
+        for sample in ("samples/000000", "samples/000001"):
+            for name in ("rve.u8.bin", "a_field.f64.bin"):
+                a = (out / sample / name).read_bytes()
+                assert (tmp_path / "floats" / sample / name).read_bytes() == a
+
     def test_unknown_config_key_rejected(self):
         with pytest.raises(ConfigError):
             config_from_dict({"n_sample": 4})

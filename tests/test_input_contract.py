@@ -9,6 +9,7 @@ new key is swept without editing this file.
 """
 
 import json
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -16,6 +17,9 @@ from microhom import cli, plate
 from microhom.cli import dispatch
 from microhom.config import kind
 from microhom.dataset import DatasetConfig, config_to_dict
+from microhom.microstructure import SpinodalParams
+from microhom.plate import GRFConfig
+from microhom.solver import SolverConfig
 
 TREES = {
     "dataset": config_to_dict(DatasetConfig()),
@@ -88,6 +92,29 @@ def test_sweep_covers_every_tree():
     assert swept == set(TREES) and len(LEAVES) > 50
     for path in ("micro.solver.tol", "grf_fiber.mean", "rve.spinodal.dt", "solver.max_iter"):
         assert any(p == path for _, p, _ in LEAVES)
+
+
+def none_leaves(tree, ranges, prefix=""):
+    """(dotted path, rule) of every None leaf of a tree, with its range rule."""
+    for key, default in tree.items():
+        rule = ranges.get(key, "")
+        if isinstance(default, dict):
+            yield from none_leaves(default, rule, f"{prefix}{key}.")
+        elif default is None:
+            yield f"{prefix}{key}", rule
+
+
+def test_every_none_default_has_a_rule():
+    # a None default with no rule takes a string: only a_field_dir is a path
+    cell = {**cli._CELL_DEFAULTS, "fiber_props": cli._PROPS, "matrix_props": cli._PROPS}
+    trees = [(cell, cli._CELL_RANGES), (plate._MULTISCALE_DEFAULTS, plate._MULTISCALE_RANGES),
+             (TREES["dataset"], DatasetConfig.RANGES)]
+    for cls in (DatasetConfig, SolverConfig, SpinodalParams, GRFConfig):  # required fields
+        trees.append(({f.name: None for f in fields(cls)
+                       if f.default is MISSING and f.default_factory is MISSING}, cls.RANGES))
+    leaves = [(path, rule) for tree, ranges in trees for path, rule in none_leaves(tree, ranges)]
+    assert {path for path, rule in leaves if not rule} == {"a_field_dir"}
+    assert {"fiber_props.E", "matrix_props.nu", "mean"} <= {path for path, _ in leaves}
 
 
 def test_accepted_cases_are_swept():

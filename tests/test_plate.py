@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from microhom import plate
 from microhom.dataset import read_sample, write_sample
-from microhom.errors import DomainError, MeshError, NonConvergenceError
+from microhom.errors import ConfigError, DomainError, MeshError, NonConvergenceError
 from microhom.homogenization import ConcentrationField, homogenized_stiffness
 from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.plate import (
@@ -333,6 +333,8 @@ class TestKlField:
             GRFConfig(74.0, std=-1.0)
         with pytest.raises(DomainError):
             GRFConfig(74.0, corr_length=0.0)
+        with pytest.raises(ConfigError, match="^'mean' must be null or a number, got a string$"):
+            GRFConfig("abc")
 
 
 @pytest.fixture(scope="module")
