@@ -83,8 +83,9 @@ def write_pgm(path, field: np.ndarray) -> dict:
 
     The field must be finite, else DomainError before any file is opened.
     It is min-max normalized to 0..255; a constant field degenerates to an
-    all-zero image with a warning.  Image width is the second array
-    axis.  Returns the normalization bounds, also written to <path>.json.
+    all-zero image, with a warning once the image and its sidecar are
+    written.  Image width is the second array axis.  Returns the
+    normalization bounds, also written to <path>.json.
     """
     field = np.asarray(field, dtype=float)
     if field.ndim != 2:
@@ -92,15 +93,14 @@ def write_pgm(path, field: np.ndarray) -> dict:
     if not np.isfinite(field).all():
         raise DomainError("PGM export needs a finite field, got NaN or inf values")
     lo, hi = float(field.min()), float(field.max())
-    if hi == lo:
-        warnings.warn("constant field: writing an all-zero image", stacklevel=2)
-        raster = np.zeros(field.shape, dtype=np.uint8)
-    else:
-        raster = np.rint((field - lo) / (hi - lo) * 255.0).astype(np.uint8)
+    # a constant field has field - lo == 0, so any nonzero divisor zeroes it
+    raster = np.rint((field - lo) / ((hi - lo) or 1.0) * 255.0).astype(np.uint8)
     height, width = field.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(raster.tobytes())
     bounds = {"min": lo, "max": hi}
     Path(str(path) + ".json").write_text(json.dumps(bounds), encoding="utf-8")
+    if hi == lo:
+        warnings.warn("constant field: writing an all-zero image", stacklevel=2)
     return bounds

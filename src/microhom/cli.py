@@ -189,15 +189,16 @@ def _cmd_solve(args) -> int:
     macro = [float(v) for v in cfg["macro_strain"]]
     out = Path(args.out)
     green = cell_operator(c_field, rve.domain_size)
-    result = solve_unit_load(c_field, macro, solver, green)
-    write_array(out / "strain.f64.bin", result.strain)
-    write_array(out / "stress.f64.bin", result.stress)
-    residual = result.residual_history[-1] if result.residual_history else 0.0
+    result = solve_unit_load(c_field, [macro], solver, green)
+    strain, stress, history = result.strain[0], result.stress[0], result.residual_history[0]
+    write_array(out / "strain.f64.bin", strain)
+    write_array(out / "stress.f64.bin", stress)
+    residual = history[-1] if history else 0.0
     summary = {
         "macro_strain": macro,
         "iterations": result.iterations,
         "residual": residual,
-        "mean_stress": result.stress.mean(axis=(0, 1)).tolist(),
+        "mean_stress": stress.mean(axis=(0, 1)).tolist(),
         "lame0": [green.lame0.lam, green.lame0.mu],
     }
     _write_summary(out, summary)

@@ -27,8 +27,11 @@ def kind(value) -> str:
 
 def _checked(path: str, value, default, rule=""):
     """`value` if it has the kind of `default`, a None one's being null or, by
-    `rule`, a number, else a string; a whole number for an int default is an int."""
-    kinds = [kind(default)] if default is not None else ["null", "a number" if rule else "a string"]
+    `rule`, a number, else a string, and a MISSING one's (a required field)
+    the latter only; a whole number for an int default is an int."""
+    implied = "a number" if rule else "a string"
+    kinds = ([implied] if default is MISSING else ["null", implied] if default is None
+             else [kind(default)])
     if kind(value) not in kinds:
         raise ConfigError(f"{path!r} must be {' or '.join(kinds)}, got {kind(value)}")
     if type(default) is int and not isinstance(value, int):
@@ -58,10 +61,11 @@ def resolve(defaults: dict, raw: dict, ranges=None, where: str = "") -> dict:
     the dotted path under `where`.  The elements of an array must have the
     kind of the default array's first element.  Where the default is an
     int, the number must be whole and is stored as an int.  A None default
-    takes null, or a number if it has a rule, else a string.  Then an array
-    must keep its default's length and a number be finite and meet its rule
-    in `ranges` (see _holds), a tree that mirrors `defaults`, else
-    DomainError names the path.
+    takes null, or a number if it has a rule, else a string; a MISSING
+    default, a required field of a Checked dataclass, the same but not null.
+    Then an array must keep its default's length and a number be finite and
+    meet its rule in `ranges` (see _holds), a tree that mirrors `defaults`,
+    else DomainError names the path.
     """
     out = copy.deepcopy(defaults)
     for key, value in raw.items():
@@ -88,12 +92,12 @@ def resolve(defaults: dict, raw: dict, ranges=None, where: str = "") -> dict:
 
 class Checked:
     """Base of a config dataclass with a RANGES table: construction resolves the
-    fields on their defaults (a factory's, or None if required) and keeps the
-    result, arrays as tuples."""
+    fields on their defaults (a factory's, or MISSING if required) and keeps
+    the result, arrays as tuples."""
 
     def __post_init__(self):
         defaults = {f.name: f.default_factory() if f.default_factory is not MISSING
-                    else None if f.default is MISSING else f.default for f in fields(self)}
+                    else f.default for f in fields(self)}
         cfg = resolve(defaults, vars(self), self.RANGES)
         for name, value in cfg.items():
             object.__setattr__(self, name, tuple(value) if isinstance(value, list) else value)

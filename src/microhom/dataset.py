@@ -324,7 +324,8 @@ def validate_dataset(root) -> list:
     The concentration field must average to the identity and be in
     equilibrium: each unit load's Tol, recomputed on the config's domain
     from A and the stiffness rebuilt from the grid and properties, within
-    the recorded tol.  Returns a list of problems, empty if clean.
+    the config's solver tol, which each sample must also record.  Returns a
+    list of problems, empty if clean.
     """
     root = Path(root)
     try:
@@ -377,7 +378,9 @@ def validate_dataset(root) -> list:
         c_field = assign_properties(grid, fiber, matrix)
         stress = np.einsum("xyij,xyjk->xyik", c_field, conc.a)
         stress_hat = np.fft.fft2(stress, axes=(0, 1))
-        tol = conc.metadata["tol"]
+        tol = cfg.solver.tol
+        if conc.metadata["tol"] != tol:
+            problems.append(f"{sdir}: recorded tol {conc.metadata['tol']} != solver.tol {tol}")
         for j in range(3):
             residual = convergence_metric(stress_hat[..., j], freqs)
             if not residual <= tol + EQUILIBRIUM_ROUNDOFF:

@@ -19,7 +19,14 @@ class DegenerateMediumError(DomainError):
 
 
 class ZeroMeanStressError(DomainError):
-    """Convergence metric is undefined: the mean stress is identically zero."""
+    """Convergence metric is undefined: the mean stress is identically zero.
+
+    load is the row of the failed load in a stack the cell solver was given.
+    """
+
+    def __init__(self, message, load=None):
+        super().__init__(message)
+        self.load = load
 
 
 class NonConvergenceError(DomainError):
@@ -28,17 +35,19 @@ class NonConvergenceError(DomainError):
     The cell solver raises it at the iteration cap, on a non-finite
     equilibrium index, or when the stiffness field turns out not to be
     positive definite, with the full residual history so the cap can be
-    retuned per contrast.  The macro solve raises it when a load step's
+    retuned per contrast, and as load the row of the failed load in the
+    stack it was given.  The macro solve raises it when a load step's
     residual exceeds newton_tol, with the residuals up to that step.
     """
 
-    def __init__(self, message, history):
+    def __init__(self, message, history, load=None):
         super().__init__(message)
         self.history = list(history)
+        self.load = load
 
     def __reduce__(self):
-        # The default rebuilds from args, which lack the history.
-        return type(self), (self.args[0], self.history)
+        # The default rebuilds from args, which lack the history and load.
+        return type(self), (self.args[0], self.history, self.load)
 
 
 class PackingError(DomainError):

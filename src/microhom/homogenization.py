@@ -57,7 +57,7 @@ class ConcentrationField:
 
 
 def _lane_count(n_pixels: int) -> int:
-    """Threads for the three unit loads of an n_pixels cell: 1 below
+    """Groups of the three unit loads of an n_pixels cell: 1 below
     LANE_MIN_PIXELS, else one per load."""
     return 1 if n_pixels < LANE_MIN_PIXELS else len(UNIT_LOADS)
 
@@ -70,27 +70,6 @@ def _load_record(j: int, history: list) -> dict:
         "residual": history[-1] if history else 0.0,
         "converged": True,
     }
-
-
-def _solve_on_lanes(c_field, config, green, a) -> list:
-    """Solve the unit loads one per lane into the columns of a; return their records.
-
-    The caller solves load 0 and one helper thread each other load.  Results
-    are read in load order once every helper is joined, so a failure raises
-    the lowest failed load's error, as a serial loop would.
-    """
-
-    def solve(j):
-        try:
-            res = solve_unit_load(c_field, UNIT_LOADS[j], config, green=green)
-        except NonConvergenceError as err:
-            raise NonConvergenceError(f"unit load {j}: {err}", err.history) from err
-        a[..., :, j] = res.strain
-        return _load_record(j, res.residual_history)
-
-    with ThreadPoolExecutor(len(UNIT_LOADS) - 1) as helpers:
-        helped = [helpers.submit(solve, j) for j in range(1, len(UNIT_LOADS))]
-        return [solve(0)] + [f.result() for f in helped]
 
 
 def cell_operator(c_field: np.ndarray, domain=None) -> GreenField:
@@ -114,13 +93,17 @@ def strain_concentration(
     The cell's Green operator (cell_operator) is built once and shared by
     the three solves.
 
-    A cell of fewer than LANE_MIN_PIXELS (128^2) pixels, as in the dataset
-    and plate pools, goes to solve_unit_load as one stack of the three
-    loads, solved in lockstep.  A larger cell takes one lane per load on any
-    CPU count: the caller solves load 0 and two helper threads loads 1 and
-    2, as the FFTs and einsums release the GIL.  Each load's arithmetic is
-    the same on a lane and in the stack, so A is bitwise the same on both
-    paths.  On 2 CPUs (numpy 2.4.6, contrast-34 fiber cells at tol 1e-6,
+    The loads are split into _lane_count groups, each solved as one stack
+    by solve_unit_load: a cell of fewer than LANE_MIN_PIXELS (128^2) pixels,
+    as in the dataset and plate pools, is one group of the three loads,
+    solved in lockstep on the calling thread.  A larger cell is three
+    groups of one load on any CPU count: the caller solves load 0 and two
+    helper threads loads 1 and 2, as the FFTs and einsums release the GIL.
+    Each load's arithmetic is the same in any group, so A is bitwise the
+    same for one group or three.  Results are read in group order once
+    every helper is joined, so a failed load raises the error of the lowest
+    one, "unit load j: " and the solver's message, as a serial loop would.
+    On 2 CPUs (numpy 2.4.6, contrast-34 fiber cells at tol 1e-6,
     ranges over runs and two cells), this call on the stack/3 lanes took
     16-24/65-83 ms at 32^2, 44-56/68-85 ms at 64^2, 140-193/104-115 ms at
     128^2 and 739-797/393-490 ms at 256^2; on 1 CPU the two tie, at
@@ -131,17 +114,26 @@ def strain_concentration(
     green = cell_operator(c_field, domain)
 
     a = np.empty((T1, T2, 3, 3))
+    loads = [None] * len(UNIT_LOADS)
 
-    if _lane_count(T1 * T2) == 1:
+    def solve(group):
+        """Solve the loads of group as one stack into their columns of a and
+        their records."""
         try:
-            res = solve_unit_load(c_field, UNIT_LOADS, config, green=green)
+            res = solve_unit_load(c_field, UNIT_LOADS[group], config, green)
         except NonConvergenceError as err:
-            # the stack's "load j: " names unit load j
-            raise NonConvergenceError(f"unit {err}", err.history) from err
-        a[...] = res.strain.transpose(1, 2, 3, 0)
-        loads = [_load_record(j, res.residual_history[j]) for j in range(len(UNIT_LOADS))]
-    else:
-        loads = _solve_on_lanes(c_field, config, green, a)
+            raise NonConvergenceError(f"unit load {group[err.load]}: {err}", err.history) from err
+        a[..., :, group] = res.strain.transpose(1, 2, 3, 0)
+        for j, history in zip(group, res.residual_history):
+            loads[j] = _load_record(j, history)
+
+    groups = [g.tolist() for g in np.array_split(range(len(UNIT_LOADS)), _lane_count(T1 * T2))]
+    # no thread starts unless a group is submitted
+    with ThreadPoolExecutor(max(len(groups) - 1, 1)) as helpers:
+        helped = [helpers.submit(solve, group) for group in groups[1:]]
+        solve(groups[0])
+    for future in helped:
+        future.result()
     return ConcentrationField(
         a,
         metadata={

@@ -25,15 +25,15 @@ tensor contraction a:b (weights 1, 1, 2 on tensorial-shear vectors), and
 stress is recomputed from the strain every iteration, so rounding does not
 accumulate in it; p has zero mean, so the mean strain stays ebar.
 
-Lockstep: solve_unit_load also takes a stack of L mean strains and iterates
+Lockstep: solve_unit_load takes a stack of L mean strains and iterates
 them side by side, each numpy call covering every load still active.  Each
 load keeps its own alpha, beta, Tol history and stopping point, and leaves
 the stack when it converges.  Its iterates, history and iteration count are
-bitwise those of its own solve: FFTs and elementwise products do the same
-arithmetic on a plane whatever the number of planes, and each sum runs per
-plane or per load.  This is not block CG; there is no shared Krylov space.
-On a small cell an iteration is mostly per-call overhead, during which a
-thread holds the GIL, and a stack of three pays it once.
+bitwise those of its own one-row stack: FFTs and elementwise products do
+the same arithmetic on a plane whatever the number of planes, and each sum
+runs per plane or per load.  This is not block CG; there is no shared
+Krylov space.  On a small cell an iteration is mostly per-call overhead,
+during which a thread holds the GIL, and a stack of three pays it once.
 
 Memory layout: strain, direction and stress are (L, 3, T1, T2), so C:eps
 runs over contiguous planes (a stiffness field from assign_properties is
@@ -89,19 +89,18 @@ class SolverConfig(Checked):
 
 @dataclass
 class SolveResult:
-    """Converged micro fields plus the iteration record.
+    """Converged micro fields of a stack of L loads plus the iteration record.
 
-    For a stack of L mean strains, strain and stress gain a leading load
-    axis, residual_history and mean_strain_history hold one entry per load,
-    and iterations counts lockstep iterations (see solve_unit_load).
+    residual_history and mean_strain_history hold one entry per load, and
+    iterations counts lockstep iterations (see solve_unit_load).
     """
 
-    strain: np.ndarray  # (T1, T2, 3)
-    stress: np.ndarray  # (T1, T2, 3)
+    strain: np.ndarray  # (L, T1, T2, 3)
+    stress: np.ndarray  # (L, T1, T2, 3)
     iterations: int
-    residual_history: list
+    residual_history: list  # L lists of Tol
     converged: bool
-    mean_strain_history: Optional[np.ndarray] = None  # (iterations, 3) if recorded
+    mean_strain_history: Optional[list] = None  # L (iterations, 3) arrays, if recorded
 
 
 def convergence_metric(stress_hat: np.ndarray, freqs: FreqGrid) -> float:
@@ -204,17 +203,9 @@ def _swap(i: int, j: int, order: list, arrays) -> None:
             a[[i, j]] = a[[j, i]]
 
 
-def _lower(failure, load: int, error: Exception):
-    """The failure, (load, error), of the lower-index load."""
-    return (load, error) if failure is None or load < failure[0] else failure
-
-
-def _result(stacked, strain, stress, iterations, histories, means) -> SolveResult:
-    if stacked:
-        means = None if means is None else [np.array(h) for h in means]
-        return SolveResult(strain, stress, iterations, histories, True, means)
-    means = None if means is None else np.array(means[0])
-    return SolveResult(strain[0], stress[0], iterations, histories[0], True, means)
+def _lower(failure, error: Exception):
+    """Of two failures, the one of the lower-index load."""
+    return error if failure is None or error.load < failure.load else failure
 
 
 def solve_unit_load(
@@ -224,17 +215,17 @@ def solve_unit_load(
     green: GreenField,
     record_history: bool = False,
 ) -> SolveResult:
-    """Solve the periodic cell under a prescribed mean strain, or a stack of them.
+    """Solve the periodic cell under a stack of prescribed mean strains.
 
     Args:
         c_field: (T1, T2, 3, 3) per-pixel stiffness, symmetric positive
             definite at every pixel.
-        macro_strain: length-3 tensorial mean strain, or an (L, 3) stack of
-            them solved in lockstep (see the module docstring).  A stack
-            returns (L, T1, T2, 3) strain and stress, one residual history
-            (and mean-strain history) per load, whose length is that load's
-            iteration count, and as iterations the number of lockstep
-            iterations, i.e. of Green applications.
+        macro_strain: an (L, 3) stack of tensorial mean strains, solved in
+            lockstep (see the module docstring); one load is a one-row
+            stack.  Returns (L, T1, T2, 3) strain and stress, one residual
+            history (and mean-strain history) per load, whose length is
+            that load's iteration count, and as iterations the number of
+            lockstep iterations, i.e. of Green applications.
         config: iteration settings.
         green: the cell's Green operator (homogenization.cell_operator),
             which carries its pixel sizes; it must match the field's
@@ -246,20 +237,20 @@ def solve_unit_load(
         NonConvergenceError: the cap was reached, Tol is not finite, or the
             curvature <p, C:p> of a nonzero search direction is not positive
             (the stiffness field is not positive definite); carries the
-            residual history.  A stack raises the error of its lowest-index
-            failed load, prefixed "load j: ", as a serial loop over the loads
-            would: a failed load ends the loads above it, and the loads below
-            it run on to their own end.
+            residual history and, as load, the failed load's row.  The
+            error raised is that of the lowest-index failed load, as a
+            serial loop over the loads would raise it: a failed load ends
+            the loads above it, and the loads below it run on to their own
+            end.  ZeroMeanStressError, a load whose iterate has zero mean
+            stress, also carries its row as load.
     """
     c_field = np.asarray(c_field, dtype=float)
     if c_field.ndim != 4 or c_field.shape[2:] != (3, 3):
         raise DomainError(f"stiffness field must be (T1, T2, 3, 3), got {c_field.shape}")
     T1, T2 = c_field.shape[:2]
-    macro = np.asarray(macro_strain, dtype=float)
-    stacked = macro.ndim == 2
-    if macro.ndim > 2 or stacked and macro.shape[1] != 3:
-        raise DomainError(f"macro strain must be (3,) or (L, 3), got {macro.shape}")
-    loads = macro if stacked else macro.reshape(1, 3)
+    loads = np.asarray(macro_strain, dtype=float)
+    if loads.ndim != 2 or loads.shape[1] != 3:
+        raise DomainError(f"macro strain must be an (L, 3) stack, got {loads.shape}")
     n_loads = len(loads)
     # Slot k of every buffer holds load order[k], and slots [0, m) are the
     # loads still iterating, in ascending load order, so a failure skips
@@ -271,9 +262,8 @@ def solve_unit_load(
     histories = [[] for _ in range(n_loads)]
     if m == 0:
         zeros = np.zeros((n_loads, T1, T2, 3))
-        return _result(stacked, zeros, zeros.copy(), 0, histories, None)
+        return SolveResult(zeros, zeros.copy(), 0, histories, True)
     means = [[] for _ in range(n_loads)] if record_history else None
-    prefix = "load {}: " if stacked else ""
 
     if green.shape != (T1, T2):
         raise DomainError(f"Green operator {green.shape} does not match the {(T1, T2)} field")
@@ -292,7 +282,7 @@ def solve_unit_load(
     _apply_stiffness(c, eps[:m], work[:m])
     sq, mean_sq = _packed_residual(work[:m], packed[:m], scratch[:m], ratio)
 
-    failure = None  # (load, error) of the lowest-index load that failed
+    failure = None  # the error of the lowest-index load that failed
     n_updates = 0
     while True:
         if n_updates > 0:
@@ -301,12 +291,11 @@ def solve_unit_load(
             keep = []
             for k in range(m):
                 j = order[k]
-                if failure is not None and j >= failure[0]:
+                if failure is not None and j >= failure.load:
                     continue
                 if not defined[k]:
-                    error = ZeroMeanStressError(
-                        prefix.format(j) + "mean stress is zero; equilibrium index undefined"
-                    )
+                    message = "mean stress is zero; equilibrium index undefined"
+                    error = ZeroMeanStressError(message, j)
                 else:
                     tol_n = float(tols[k])
                     histories[j].append(tol_n)
@@ -325,8 +314,8 @@ def solve_unit_load(
                     else:
                         keep.append(k)
                         continue
-                    error = NonConvergenceError(prefix.format(j) + message, histories[j])
-                failure = _lower(failure, j, error)
+                    error = NonConvergenceError(message, histories[j], j)
+                failure = _lower(failure, error)
             for new, k in enumerate(keep):
                 _swap(new, k, order, (eps, p, work, packed, rz))
             m = len(keep)
@@ -346,8 +335,8 @@ def solve_unit_load(
                     f"curvature <p, C:p> = {curvature[k]:.3e} <= 0 at iteration {n_updates + 1}: "
                     "the stiffness field is not positive definite"
                 )
-                error = NonConvergenceError(prefix.format(j) + message, histories[j])
-                failure = _lower(failure, j, error)
+                error = NonConvergenceError(message, histories[j], j)
+                failure = _lower(failure, error)
         alpha = np.divide(rz[:m], curvature, out=np.zeros(m), where=positive)
         eps[:m] += np.multiply(p[:m], alpha[:, None, None, None], out=work[:m])
         _apply_stiffness(c, eps[:m], work[:m])
@@ -358,10 +347,11 @@ def solve_unit_load(
                 means[order[k]].append(eps[k].mean(axis=(1, 2)))
 
     if failure is not None:
-        raise failure[1]
+        raise failure
     for k in range(n_loads):  # back to load order
         while order[k] != k:
             _swap(k, order[k], order, (eps, work))
-    return _result(
-        stacked, eps.transpose(0, 2, 3, 1), work.transpose(0, 2, 3, 1), n_updates, histories, means
+    means = None if means is None else [np.array(h) for h in means]
+    return SolveResult(
+        eps.transpose(0, 2, 3, 1), work.transpose(0, 2, 3, 1), n_updates, histories, True, means
     )

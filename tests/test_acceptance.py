@@ -89,9 +89,9 @@ def test_criterion_02_dense_oracle_equivalence():
         for c_field in cases:
             for load in np.eye(3):
                 green = cell_operator(c_field, (16.0, 16.0))
-                res = solve_unit_load(c_field, load, SolverConfig(tol=1e-10), green)
+                res = solve_unit_load(c_field, [load], SolverConfig(tol=1e-10), green)
                 oracle = dense_fixed_point_solution(c_field, load, (16.0, 16.0))
-                rel = np.linalg.norm(res.strain - oracle) / np.linalg.norm(oracle)
+                rel = np.linalg.norm(res.strain[0] - oracle) / np.linalg.norm(oracle)
                 assert rel <= 1e-6
         assert time.time() - start < 60.0
 
@@ -124,11 +124,11 @@ def test_criterion_03_convergence_contract(tmp_path):
         )
         macro = [1.0, 0.0, 0.0]
         res = solve_unit_load(
-            c_field, macro, SolverConfig(tol=1e-6), cell_operator(c_field, DOMAIN),
+            c_field, [macro], SolverConfig(tol=1e-6), cell_operator(c_field, DOMAIN),
             record_history=True,
         )
-        assert res.converged and res.residual_history[-1] <= 1e-6
-        assert np.abs(res.mean_strain_history - macro).max() <= 1e-10
+        assert res.converged and res.residual_history[0][-1] <= 1e-6
+        assert np.abs(res.mean_strain_history[0] - macro).max() <= 1e-10
 
 
 def test_criterion_04_bounds_sandwich():

@@ -529,6 +529,15 @@ class TestExportImage:
         assert dispatch(argv) == 0
         assert capsys.readouterr().err == "warning: constant field: writing an all-zero image\n"
 
+    def test_constant_field_to_an_unwritable_output_only_errs(self, tmp_path, capsys):
+        # the warning is for an image that was written: none is, so none is given
+        write_array(tmp_path / "ones.f64.bin", np.ones((4, 4)))
+        out = tmp_path / "missing" / "ones.pgm"
+        argv = ["export-image", "--field", str(tmp_path / "ones.f64.bin"), "--out", str(out)]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+
 
 @pytest.mark.parametrize("command", ["export-image", "dataset"])
 def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys, command):
@@ -607,6 +616,15 @@ class TestSolveCommand:
             assert strain.tobytes() == np.ascontiguousarray(a[..., :, j]).tobytes()
             assert json.loads((out / "summary.json").read_text())["lame0"] == lame0
 
+    def test_missed_tol_is_one_error_line_without_a_load(self, tmp_path, capsys):
+        # the one-row stack's failure reads as the solver's message alone
+        argv = ["solve", "--out", str(tmp_path / "s")]
+        for item in ('rve={"fiber":{},"resolution":[32,32]} solver.max_iter=2 fiber_props.E=85 '
+                     "fiber_props.nu=0.2 matrix_props.E=2.5 matrix_props.nu=0.35").split():
+            argv += ["--set", item]
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: no convergence after 2 iterations (")
 
     @pytest.mark.filterwarnings("always:homogenized stiffness asymmetry:UserWarning")
     def test_asymmetry_warning_is_one_line(self, tmp_path, capsys):

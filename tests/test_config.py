@@ -180,7 +180,7 @@ def test_defaults_are_not_checked():
 
 @dataclass(frozen=True)
 class _Cell(Checked):
-    radius: float  # required: held to its rule like a None default
+    radius: float  # required: held to its rule, and never null
     sizes: tuple = (1.0, 1.0)
     seed: int = 0
     RANGES = {"radius": "positive", "sizes": "positive", "seed": ">= 0"}
@@ -201,9 +201,10 @@ def test_checked_dataclass_holds_its_fields_to_its_table(kwargs, message):
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    ({"radius": "abc"}, "'radius' must be null or a number, got a string"),
+    ({"radius": "abc"}, "'radius' must be a number, got a string"),
     ({"radius": 1.0, "seed": 2.5}, "'seed' must be a whole number, got 2.5"),
     ({"radius": 1.0, "sizes": 1.0}, "'sizes' must be an array, got a number"),
+    ({"radius": None}, "'radius' must be a number, got null"),
 ])
 def test_checked_dataclass_refuses_a_mistyped_field(kwargs, message):
     with pytest.raises(ConfigError, match=f"^{message}$"):

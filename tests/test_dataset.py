@@ -172,6 +172,25 @@ class TestGenerateDataset:
         assert len(problems) == 3
         assert all(str(sdir) in p and "Tol" in p for p in problems)
 
+    @pytest.mark.parametrize("noise", [False, True], ids=["tol edited", "noise and tol edited"])
+    def test_validate_holds_each_sample_to_the_config_tol(self, small_dataset, tmp_path, noise):
+        # a sample.json whose tol was loosened is reported, and its Tol is
+        # still held to the manifest's solver.tol
+        out, _, _ = small_dataset
+        scratch = tmp_path / "copy"
+        shutil.copytree(out, scratch)
+        sdir = scratch / "samples" / "000000"
+        info = json.loads((sdir / "sample.json").read_text())
+        (sdir / "sample.json").write_text(json.dumps({**info, "tol": 1.0}))
+        if noise:
+            a = read_array(sdir / "a_field.f64.bin")
+            shift = np.random.default_rng(0).standard_normal(a.shape)
+            write_array(sdir / "a_field.f64.bin", a + 1e-3 * (shift - shift.mean(axis=(0, 1))))
+        problems = validate_dataset(scratch)
+        assert problems[0] == f"{sdir}: recorded tol 1.0 != solver.tol 1e-06"
+        assert len(problems) == (4 if noise else 1)
+        assert all(str(sdir) in p and "Tol" in p for p in problems[1:])
+
     def test_validate_needs_the_manifest_config(self, small_dataset, tmp_path):
         out, _, _ = small_dataset
         scratch = tmp_path / "copy"

@@ -57,9 +57,9 @@ class TestStrainConcentration:
         c_field, conc = two_phase
         macro = np.array([0.3, -0.1, 0.2])
         green = cell_operator(c_field, DOMAIN)
-        direct = solve_unit_load(c_field, macro, SolverConfig(tol=1e-11), green)
+        direct = solve_unit_load(c_field, [macro], SolverConfig(tol=1e-11), green)
         rebuilt = reconstruct_strain(conc, macro)
-        rel = np.linalg.norm(rebuilt - direct.strain) / np.linalg.norm(direct.strain)
+        rel = np.linalg.norm(rebuilt - direct.strain[0]) / np.linalg.norm(direct.strain[0])
         assert rel <= 1e-8
 
     def test_mean_is_identity(self, two_phase):
@@ -78,8 +78,8 @@ class TestStrainConcentration:
         conc = strain_concentration(cell32, SolverConfig(), domain=DOMAIN)
         assert len(stacks) == 1 and np.array_equal(stacks[0], np.eye(3))
         for j, load in enumerate(np.eye(3)):
-            one = inner(cell32, load, SolverConfig(), cell_operator(cell32, DOMAIN))
-            assert conc.a[..., :, j].tobytes() == one.strain.tobytes()
+            one = inner(cell32, [load], SolverConfig(), cell_operator(cell32, DOMAIN))
+            assert conc.a[..., :, j].tobytes() == one.strain[0].tobytes()
             assert conc.metadata["loads"][j]["iterations"] == one.iterations
 
     def test_lockstep_failure_names_its_unit_load(self, cell32):
@@ -88,7 +88,7 @@ class TestStrainConcentration:
         c_field = cell32.copy()
         c_field[3, 3, 0, 0] *= -1.0
         with pytest.raises(NonConvergenceError) as want:
-            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), cell_operator(c_field, DOMAIN))
+            solve_unit_load(c_field, [[1, 0, 0]], SolverConfig(), cell_operator(c_field, DOMAIN))
         with pytest.raises(NonConvergenceError, match="^unit load 0: ") as got:
             strain_concentration(c_field, SolverConfig(), domain=DOMAIN)
         assert str(got.value) == f"unit load 0: {want.value}"
@@ -212,7 +212,7 @@ def _record_threads(monkeypatch, fail_loads=()):
         load = int(np.flatnonzero(macro_strain)[0])
         threads[load] = threading.current_thread()
         if load in fail_loads:
-            raise NonConvergenceError("no convergence", [0.5, 0.25])
+            raise NonConvergenceError("no convergence", [0.5, 0.25], load=0)
         res = inner(c_field, macro_strain, *args, **kwargs)
         done.add(load)
         return res

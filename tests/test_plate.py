@@ -333,8 +333,11 @@ class TestKlField:
             GRFConfig(74.0, std=-1.0)
         with pytest.raises(DomainError):
             GRFConfig(74.0, corr_length=0.0)
-        with pytest.raises(ConfigError, match="^'mean' must be null or a number, got a string$"):
+        with pytest.raises(ConfigError, match="^'mean' must be a number, got a string$"):
             GRFConfig("abc")
+        # a required field never takes null
+        with pytest.raises(ConfigError, match="^'mean' must be a number, got null$"):
+            GRFConfig(None)
 
 
 @pytest.fixture(scope="module")

@@ -19,7 +19,7 @@ from microhom.green import (
 )
 from microhom.homogenization import cell_operator, strain_concentration
 from microhom.microstructure import assign_properties, generate_fiber_rve
-from microhom.solver import SolveResult, SolverConfig, convergence_metric, solve_unit_load
+from microhom.solver import SolverConfig, convergence_metric, solve_unit_load
 from microhom.voigt import IsotropicProps, Lame, stiffness_from_enu, stiffness_from_lame
 
 
@@ -28,10 +28,10 @@ class TestHomogeneous:
         c = stiffness_from_enu(IsotropicProps(5.0, 0.3))
         c_field = np.broadcast_to(c, (32, 32, 3, 3)).copy()
         for macro in ([1.0, 0.0, 0.0], [0.2, -0.4, 0.9]):
-            res = solve_unit_load(c_field, macro, SolverConfig(), cell_operator(c_field))
+            res = solve_unit_load(c_field, [macro], SolverConfig(), cell_operator(c_field))
             assert res.converged
             assert res.iterations == 1
-            assert np.abs(res.strain - np.asarray(macro)).max() <= 1e-12
+            assert np.abs(res.strain[0] - np.asarray(macro)).max() <= 1e-12
 
 
 class TestDenseOracle:
@@ -42,9 +42,9 @@ class TestDenseOracle:
         c_field = disc_rve(T, 4, contrast=10.0)
         domain = (float(T),) * 2
         green = cell_operator(c_field, domain)
-        res = solve_unit_load(c_field, load, SolverConfig(tol=1e-10), green)
+        res = solve_unit_load(c_field, [load], SolverConfig(tol=1e-10), green)
         oracle = dense_fixed_point_solution(c_field, load, domain)
-        rel = np.linalg.norm(res.strain - oracle) / np.linalg.norm(oracle)
+        rel = np.linalg.norm(res.strain[0] - oracle) / np.linalg.norm(oracle)
         assert rel <= 1e-6
 
 
@@ -67,15 +67,12 @@ class TestComponentLastReference:
         stack = solve_unit_load(c_field, np.eye(3), config, green=green)
         for j, load in enumerate(np.eye(3)):
             ref = cg_solve_reference(c_field, load, config, grid, green)
-            one = solve_unit_load(c_field, load, config, green=green)
-            stacked = SolveResult(
-                stack.strain[j], stack.stress[j], len(stack.residual_history[j]),
-                stack.residual_history[j], True,
-            )
-            for res in (one, stacked):
-                assert res.iterations == ref.iterations
-                assert_allclose(res.residual_history, ref.residual_history, rtol=1e-10)
-                for got, want in ((res.strain, ref.strain), (res.stress, ref.stress)):
+            one = solve_unit_load(c_field, [load], config, green=green)
+            assert one.iterations == ref.iterations
+            for res, k in ((one, 0), (stack, j)):
+                assert len(res.residual_history[k]) == ref.iterations
+                assert_allclose(res.residual_history[k], ref.residual_history, rtol=1e-10)
+                for got, want in ((res.strain[k], ref.strain), (res.stress[k], ref.stress)):
                     assert got.shape == want.shape
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
@@ -98,13 +95,14 @@ class TestLockstep:
         assert stack.strain.shape == stack.stress.shape == (5,) + shape + (3,)
         counts = []
         for j, load in enumerate(loads):
-            one = solve_unit_load(c_field, load, config, green, record_history=True)
-            assert stack.strain[j].tobytes() == one.strain.tobytes()
-            assert stack.stress[j].tobytes() == one.stress.tobytes()
-            assert stack.residual_history[j] == one.residual_history
+            one = solve_unit_load(c_field, [load], config, green, record_history=True)
+            assert stack.strain[j].tobytes() == one.strain[0].tobytes()
+            assert stack.stress[j].tobytes() == one.stress[0].tobytes()
+            assert stack.residual_history[j] == one.residual_history[0]
             assert len(stack.residual_history[j]) == one.iterations
             if one.iterations:
-                assert stack.mean_strain_history[j].tobytes() == one.mean_strain_history.tobytes()
+                want = one.mean_strain_history[0].tobytes()
+                assert stack.mean_strain_history[j].tobytes() == want
             counts.append(one.iterations)
         assert counts[2] == 0 and len(set(counts)) > 2
         assert stack.iterations == max(counts)
@@ -115,10 +113,11 @@ class TestLockstep:
         assert res.iterations == 0 and res.residual_history == [[], []]
         assert res.strain.shape == (2, 16, 16, 3) and not res.strain.any() and not res.stress.any()
 
-    @pytest.mark.parametrize("bad", [np.ones((2, 4)), np.ones((2, 3, 1))])
+    # one load is a one-row stack: a bare (3,) vector is refused too
+    @pytest.mark.parametrize("bad", [np.ones((2, 4)), np.ones((2, 3, 1)), np.ones(3)])
     def test_rejects_other_shapes(self, bad):
         c_field = disc_rve(16, 4, contrast=10.0)
-        with pytest.raises(DomainError, match="macro strain"):
+        with pytest.raises(DomainError, match=r"^macro strain must be an \(L, 3\) stack, got "):
             solve_unit_load(c_field, bad, SolverConfig(), cell_operator(c_field))
 
 
@@ -142,16 +141,16 @@ class TestLockstepFailures:
     def test_a_higher_load_failing_first_does_not_pre_empt_a_lower_one(self):
         c_field, config = self._indefinite_cell(), SolverConfig(tol=1e-8)
         early, late = [1.0, 1.0, 0.0], [1.0, -1.0, 0.0]
-        want = self._error(c_field, late, config)
-        assert len(self._error(c_field, early, config).history) < len(want.history)
+        want = self._error(c_field, [late], config)
+        assert len(self._error(c_field, [early], config).history) < len(want.history)
         got = self._error(c_field, [late, early], config)
-        assert str(got) == f"load 0: {want}" and "not positive definite" in str(got)
+        assert got.load == 0 and str(got) == str(want) and "not positive definite" in str(got)
         assert got.history == want.history
 
     def test_a_failed_load_ends_the_loads_above_it(self, monkeypatch):
         c_field, config = self._indefinite_cell(), SolverConfig(tol=1e-8)
         early, late = [1.0, 1.0, 0.0], [1.0, -1.0, 0.0]
-        want = self._error(c_field, early, config)
+        want = self._error(c_field, [early], config)
         calls = []
         inner = solver.apply_green
 
@@ -161,7 +160,7 @@ class TestLockstepFailures:
 
         monkeypatch.setattr(solver, "apply_green", counted)
         got = self._error(c_field, [early, late], config)
-        assert str(got) == f"load 0: {want}" and got.history == want.history
+        assert got.load == 0 and str(got) == str(want) and got.history == want.history
         # the load above stopped with load 0: it ran no Green application after it
         assert len(calls) == len(want.history) + 1
 
@@ -170,29 +169,29 @@ class TestLockstepFailures:
         # 2, so both meet the non-positive curvature in the same iteration
         c_field, config = self._indefinite_cell(), SolverConfig(tol=1e-8)
         double, single = [2.0, 2.0, 0.0], [1.0, 1.0, 0.0]
-        want = self._error(c_field, double, config)
-        assert str(want) != str(self._error(c_field, single, config))
+        want = self._error(c_field, [double], config)
+        assert str(want) != str(self._error(c_field, [single], config))
         got = self._error(c_field, [double, single], config)
-        assert str(got) == f"load 0: {want}" and got.history == want.history
+        assert got.load == 0 and str(got) == str(want) and got.history == want.history
 
     def test_the_cap_fails_the_lowest_unconverged_load(self):
         c_field = disc_rve((24, 40), 7, contrast=34.0)
         green = cell_operator(c_field)
         iterations = [
-            solve_unit_load(c_field, load, SolverConfig(tol=1e-9), green).iterations
+            solve_unit_load(c_field, [load], SolverConfig(tol=1e-9), green).iterations
             for load in np.eye(3)
         ]
         assert iterations[2] < iterations[1]  # the shear load converges first
         config = SolverConfig(tol=1e-9, max_iter=iterations[2])
-        want = self._error(c_field, [0, 1, 0], config)
+        want = self._error(c_field, [[0, 1, 0]], config)
         got = self._error(c_field, [[0, 0, 1], [0, 1, 0], [1, 0, 0]], config)
-        assert str(got) == f"load 1: {want}" and got.history == want.history
+        assert got.load == 1 and str(got) == str(want) and got.history == want.history
 
     def test_non_finite_tol_fails_each_load_at_once(self):
         c_field = disc_rve(16, 4, contrast=10.0)
         c_field[3, 3, 0, 0] = np.nan
         got = self._error(c_field, np.eye(3), SolverConfig())
-        assert str(got).startswith("load 0: Tol = nan after 1 iterations")
+        assert got.load == 0 and str(got).startswith("Tol = nan after 1 iterations")
         assert len(got.history) == 1 and not np.isfinite(got.history[0])
 
 
@@ -216,7 +215,7 @@ class TestCallCounts:
         # one load at a time, then all three in lockstep: a stack's iterations
         # count lockstep iterations, each one Green application over the stack;
         # the inverse FFT runs as a forward one
-        for load in [*np.eye(3), np.eye(3)]:
+        for load in [*np.eye(3)[:, None], np.eye(3)]:
             for key in calls:
                 calls[key] = 0
             n = solve_unit_load(c_field, load, SolverConfig(), cell_operator(c_field)).iterations
@@ -288,7 +287,7 @@ class TestWorkingSet:
         # plane and complex scratch (4 and their pads): 13.7 measured; a
         # solve that copies the stiffness, keeps a spectral field or gives a
         # stencil or an FFT its own output exceeds 14
-        assert self._peak_planes(cell128, [1, 0, 0]) <= 14
+        assert self._peak_planes(cell128, [[1, 0, 0]]) <= 14
 
     def test_three_loads_in_lockstep_hold_at_most_46_real_planes(self, cell128):
         # 3 x 13.7, plus the copies of two loads' fields when a load leaves
@@ -317,7 +316,7 @@ class TestSuppliedOperators:
         if which == "grid":
             green = green_operator(grid, reference_material(*lame_fields_from_stiffness(c_field)))
         with pytest.raises(DomainError, match="does not match"):
-            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), green=green)
+            solve_unit_load(c_field, [[1, 0, 0]], SolverConfig(), green=green)
 
 
 def test_only_the_rotated_scheme_is_accepted():
@@ -331,17 +330,17 @@ class TestMeanFieldAndHistory:
         c_field = disc_rve(16, 4, contrast=10.0)
         macro = [0.3, -0.1, 0.2]
         res = solve_unit_load(
-            c_field, macro, SolverConfig(tol=1e-8), cell_operator(c_field), record_history=True
+            c_field, [macro], SolverConfig(tol=1e-8), cell_operator(c_field), record_history=True
         )
         assert res.mean_strain_history is not None
-        dev = np.abs(res.mean_strain_history - np.asarray(macro)).max()
+        dev = np.abs(res.mean_strain_history[0] - np.asarray(macro)).max()
         assert dev <= 1e-10
 
     def test_residual_trend(self):
         # allows local oscillation but catches divergence
         c_field = disc_rve(32, 8, contrast=25.0)
-        res = solve_unit_load(c_field, [1, 0, 0], SolverConfig(tol=1e-9), cell_operator(c_field))
-        h = res.residual_history
+        res = solve_unit_load(c_field, [[1, 0, 0]], SolverConfig(tol=1e-9), cell_operator(c_field))
+        h = res.residual_history[0]
         for n in range(len(h) - 10):
             assert h[n + 10] < h[n]
 
@@ -349,7 +348,7 @@ class TestMeanFieldAndHistory:
         iters = []
         for contrast in (2.0, 10.0, 25.0):
             c_field = disc_rve(32, 8, contrast=contrast)
-            res = solve_unit_load(c_field, [1, 0, 0], SolverConfig(), cell_operator(c_field))
+            res = solve_unit_load(c_field, [[1, 0, 0]], SolverConfig(), cell_operator(c_field))
             iters.append(res.iterations)
         assert iters[0] <= iters[1] <= iters[2]
 
@@ -378,36 +377,37 @@ class TestFailFast:
         c_field = disc_rve(16, 4, contrast=10.0)
         c_field[3, 3] = stiffness_from_lame(Lame(-3.0, 1.0))
         with pytest.raises(NonConvergenceError, match="not positive definite") as exc:
-            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), cell_operator(c_field))
+            solve_unit_load(c_field, [[1, 0, 0]], SolverConfig(), cell_operator(c_field))
         assert len(exc.value.history) < 50
 
     def test_non_finite_tol_raises_at_once(self):
         c_field = disc_rve(16, 4, contrast=10.0)
         c_field[3, 3, 0, 0] = np.nan
         with pytest.raises(NonConvergenceError, match="not finite") as exc:
-            solve_unit_load(c_field, [1, 0, 0], SolverConfig(), cell_operator(c_field))
+            solve_unit_load(c_field, [[1, 0, 0]], SolverConfig(), cell_operator(c_field))
         assert len(exc.value.history) == 1 and not np.isfinite(exc.value.history[0])
 
 
 class TestEdges:
     def test_zero_load_short_circuits(self):
         c_field = disc_rve(16, 4, contrast=10.0)
-        res = solve_unit_load(c_field, [0.0, 0.0, 0.0], SolverConfig(), cell_operator(c_field))
+        res = solve_unit_load(c_field, [[0.0, 0.0, 0.0]], SolverConfig(), cell_operator(c_field))
         assert res.converged
         assert res.iterations == 0
         assert np.all(res.strain == 0.0) and np.all(res.stress == 0.0)
 
     def test_nonconvergence_error_pickles_with_its_history(self):
-        err = pickle.loads(pickle.dumps(NonConvergenceError("unit load 1: stalled", [1.0, 0.5])))
+        err = pickle.loads(pickle.dumps(NonConvergenceError("unit load 1: stalled", [1.0, 0.5], 1)))
         assert type(err) is NonConvergenceError
         assert str(err) == "unit load 1: stalled"
         assert err.history == [1.0, 0.5]
+        assert err.load == 1
 
     def test_nonconvergence_carries_history(self):
         c_field = disc_rve(16, 4, contrast=25.0)
         with pytest.raises(NonConvergenceError) as exc:
             solve_unit_load(
-                c_field, [1, 0, 0], SolverConfig(tol=1e-12, max_iter=3), cell_operator(c_field)
+                c_field, [[1, 0, 0]], SolverConfig(tol=1e-12, max_iter=3), cell_operator(c_field)
             )
         assert len(exc.value.history) == 3
 
@@ -440,12 +440,13 @@ class TestEdges:
         # own residual helper
         c_field = disc_rve((17, 16), 4, contrast=34.0)
         green = cell_operator(c_field, domain)
-        res = solve_unit_load(c_field, [0.3, -0.2, 0.5], SolverConfig(), green)
+        res = solve_unit_load(c_field, [[0.3, -0.2, 0.5]], SolverConfig(), green)
         h1, h2 = domain[0] / 17, domain[1] / 16
         packed = np.zeros((1, 18, 17), complex)
-        stress = np.ascontiguousarray(res.stress.transpose(2, 0, 1))[None]
+        stress = np.ascontiguousarray(res.stress[0].transpose(2, 0, 1))[None]
         sq, mean_sq = solver._packed_residual(stress, packed, np.zeros_like(packed), h1 / h2)
-        assert np.sqrt(sq / ((2.0 * h1) ** 2 * 17 * 16 * mean_sq))[0] == res.residual_history[-1]
+        tol = np.sqrt(sq / ((2.0 * h1) ** 2 * 17 * 16 * mean_sq))[0]
+        assert tol == res.residual_history[0][-1]
 
     def test_metric_recomputes_the_solvers_tol(self):
         # the spectral definition against the solver's packed residual: they
@@ -455,9 +456,10 @@ class TestEdges:
         for domain in [(17.0, 16.0), (25.5, 16.0)]:
             grid = make_freq_grid((17, 16), domain)
             for load in ([0.3, -0.2, 0.5], [1, 0, 0], [0, 0, 1]):
-                res = solve_unit_load(c_field, load, SolverConfig(), cell_operator(c_field, domain))
-                stress_hat = np.fft.fft2(np.ascontiguousarray(res.stress.transpose(2, 0, 1)))
-                tol = res.residual_history[-1]
+                green = cell_operator(c_field, domain)
+                res = solve_unit_load(c_field, [load], SolverConfig(), green)
+                stress_hat = np.fft.fft2(np.ascontiguousarray(res.stress[0].transpose(2, 0, 1)))
+                tol = res.residual_history[0][-1]
                 metric = convergence_metric(stress_hat.transpose(1, 2, 0), grid)
                 assert abs(metric - tol) <= 2e-12 * tol
 
@@ -486,10 +488,12 @@ class TestLaminateClosedForm:
         grid[: T // 2] = 1
         fiber, matrix = IsotropicProps(4.0, 0.0), IsotropicProps(1.0, 0.0)
         c_field = assign_properties(grid, fiber, matrix)
-        res = solve_unit_load(c_field, [0, 0, 1.0], SolverConfig(tol=1e-12), cell_operator(c_field))
+        res = solve_unit_load(
+            c_field, [[0, 0, 1.0]], SolverConfig(tol=1e-12), cell_operator(c_field)
+        )
         mu_f, mu_m = 2.0, 0.5  # E/(2(1+nu))
         harm = 2.0 / (0.5 / mu_f + 0.5 / mu_m) / 2.0
-        assert_allclose(res.stress[..., 2], 2 * harm, rtol=1e-9)
+        assert_allclose(res.stress[0][..., 2], 2 * harm, rtol=1e-9)
 
     def test_normal_harmonic_mean(self):
         T = 16
@@ -497,9 +501,11 @@ class TestLaminateClosedForm:
         grid[: T // 2] = 1
         fiber, matrix = IsotropicProps(10.0, 0.3), IsotropicProps(1.0, 0.2)
         c_field = assign_properties(grid, fiber, matrix)
-        res = solve_unit_load(c_field, [1.0, 0, 0], SolverConfig(tol=1e-12), cell_operator(c_field))
+        res = solve_unit_load(
+            c_field, [[1.0, 0, 0]], SolverConfig(tol=1e-12), cell_operator(c_field)
+        )
         # sigma11 uniform; effective (lam+2mu) is the harmonic mean
         beta = c_field[..., 0, 0]
         harm = 1.0 / np.mean(1.0 / beta)
-        assert_allclose(res.stress[..., 0], harm, rtol=1e-9)
-        assert_allclose(res.stress[..., 0].std(), 0.0, atol=1e-9)
+        assert_allclose(res.stress[0][..., 0], harm, rtol=1e-9)
+        assert_allclose(res.stress[0][..., 0].std(), 0.0, atol=1e-9)
