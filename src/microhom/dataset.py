@@ -160,8 +160,8 @@ SAMPLE_PROPERTIES = ("E_f", "nu_f", "E_m", "nu_m")
 
 def write_sample(sdir, rve, fiber, matrix, conc, index, seed, vof_target) -> dict:
     """Write one cell as a sample directory: the grid, the concentration
-    field, then sample.json.  Returns the manifest entry without "dir": the
-    file map, then the sample.json record."""
+    field, then sample.json, whole or not at all.  Returns the manifest entry
+    without "dir": the file map, then the sample.json record."""
     sdir = Path(sdir)
     sdir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -178,7 +178,9 @@ def write_sample(sdir, rve, fiber, matrix, conc, index, seed, vof_target) -> dic
         "tol": conc.metadata["tol"],
         "loads": conc.metadata["loads"],
     }
-    (sdir / "sample.json").write_text(json.dumps(info, indent=1), encoding="utf-8")
+    partial = sdir / "sample.json.partial"  # replaced in whole, so never truncated
+    partial.write_text(json.dumps(info, indent=1), encoding="utf-8")
+    partial.replace(sdir / "sample.json")
     files["sample.json"] = None
     return {"files": files, **info}
 

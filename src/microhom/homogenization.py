@@ -26,8 +26,9 @@ _SHEAR_COLUMN = np.array([1.0, 1.0, 2.0])
 
 # A solve converged to equilibrium index Tol leaves a plain-component
 # asymmetry in Cbar below 6 Tol ||Cbar|| (median 0.5 to 1.7 Tol ||Cbar||),
-# measured for Tol 1e-3 to 1e-10 on 128^2 and 256^2 fiber cells of contrast
-# 3 to 34.  Above ASYMMETRY_FACTOR * tol * ||Cbar|| the warning flags a
+# measured for Tol 1e-3 to 1e-10 on 128^2 and 256^2 fiber cells of contrast 3
+# to 34, and 1.0 to 3.2 Tol ||Cbar|| on seven 512^2 contrast-34 fiber cells at
+# Tol 1e-6.  Above ASYMMETRY_FACTOR * tol * ||Cbar|| the warning flags a
 # solution worse than its tolerance promises; above ASYMMETRY_CEILING *
 # ||Cbar|| it flags a Cbar too asymmetric to trust whatever tolerance was
 # asked for (a Tol 1e-2 solve leaves up to 1.6e-2 ||Cbar||).

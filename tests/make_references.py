@@ -79,8 +79,7 @@ def plate_outputs(workdir: Path) -> tuple[dict, dict]:
     """(arrays, summary) of the two-scale run written under workdir."""
     out = workdir / "plate"
     summary = plate.run_multiscale(PLATE, out)
-    last = out / f"step_{PLATE['load_steps']:02d}"
-    arrays = {f"plate/{name}": read_array(last / f"{name}.f64.bin") for name in PLATE_FIELDS}
+    arrays = {f"plate/{name}": read_array(out / f"{name}.f64.bin") for name in PLATE_FIELDS}
     return arrays, summary
 
 

@@ -654,10 +654,22 @@ class TestMultiscaleCommand:
             "multiscale", "--config", cfg, "--set", f"a_field_dir={solved / 'micro'}",
             "--out", str(loaded),
         ]) == 0
-        outputs = sorted(p.relative_to(solved) for p in solved.glob("step_*/*.bin"))
-        assert len(outputs) == 2 * 3
-        for rel in [*outputs, "summary.json"]:
-            assert (solved / rel).read_bytes() == (loaded / rel).read_bytes()
+        outputs = sorted(p.name for p in solved.glob("*.bin"))
+        assert outputs == [f"{name}.f64.bin" for name in ("displacement", "strain_m", "stress_m")]
+        for name in [*outputs, "summary.json"]:
+            assert (solved / name).read_bytes() == (loaded / name).read_bytes()
+
+    @pytest.mark.parametrize("save_micro", [False, True])
+    def test_run_writes_one_macro_solution(self, tmp_path, save_micro):
+        cfg = write_config(tmp_path / "m.json", SMALL_PLATE)
+        out = tmp_path / "ms"
+        assert dispatch([
+            "multiscale", "--config", cfg, "--set", f"save_micro={str(save_micro).lower()}",
+            "--out", str(out),
+        ]) == 0
+        want = {"config_echo.json", "summary.json", "displacement.f64.bin",
+                "strain_m.f64.bin", "stress_m.f64.bin"} | ({"micro"} if save_micro else set())
+        assert {p.name for p in out.iterdir()} == want
 
     def test_valid_micro_cell_runs(self, tmp_path):
         write_uniform_cell(tmp_path / "micro" / "000000")
@@ -715,7 +727,7 @@ class TestMultiscaleCommand:
         assert dispatch(["multiscale", "--config", cfg, "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert len(summary["reaction_table"]) == 2
-        disp = read_array(out / "step_02" / "displacement.f64.bin")
+        disp = read_array(out / "displacement.f64.bin")
         assert disp.shape == (2 * 3 * 4,)
 
 

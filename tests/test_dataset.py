@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import os
 import shutil
 
 import numpy as np
@@ -337,6 +338,27 @@ class TestGenerateDataset:
             read_sample(sdir)
         assert str(err.value).startswith(f"{sdir / 'rve.u8.bin'}: cannot read")
         assert str(err.value).count(str(sdir)) == 1
+
+    def test_sample_json_exists_only_complete(self, tmp_path, monkeypatch):
+        cfg = DatasetConfig(n_samples=1, n_vof_groups=1, resolution=(32, 32), workers=1,
+                            output_dir=str(tmp_path))
+        generate_dataset(cfg)
+        sdir = tmp_path / "samples" / "000000"
+        shutil.rmtree(sdir)  # regenerate the sample, and fail at its record
+
+        def no_space(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", no_space)
+        with pytest.raises(OSError, match="No space left"):
+            generate_dataset(cfg)
+        monkeypatch.undo()
+        names = ["a_field.f64.bin", "rve.u8.bin", "sample.json.partial"]
+        assert sorted(p.name for p in sdir.iterdir()) == names
+        problems = validate_dataset(tmp_path)
+        leftover = sdir / "sample.json.partial"
+        assert f"{leftover}: on disk but not referenced by the manifest" in problems
+        assert any(p.startswith(f"{sdir}: ") and "sample.json" in p for p in problems)
 
 
 class TestWorkerPool:

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from microhom import plate
+from microhom.arrayio import read_array
 from microhom.dataset import read_sample, write_sample
 from microhom.errors import ConfigError, DomainError, MeshError, NonConvergenceError
 from microhom.homogenization import ConcentrationField, homogenized_stiffness
@@ -435,3 +436,48 @@ class TestSurrogateSeam:
         assert len(table) == 2
         for row, state in zip(table, states):
             assert abs(row["reaction"] - state.reaction) <= 1e-12 * abs(state.reaction)
+
+
+# The error budget of a two-scale run: a 2x4 plate of default fiber cells.
+BUDGET_PLATE = {"nx": 2, "ny": 4, "seed": 1, "workers": 2}
+# Its loose cell tol: at 5e-4 and 1e-3 a 64^2 cell of this plate warns of
+# asymmetry, at 3e-4 none does.
+LOOSE_TOL = 1e-4
+
+
+@pytest.fixture(scope="module")
+def budget_run(tmp_path_factory):
+    """(last reaction, element stresses) of BUDGET_PLATE at a cell resolution and tol."""
+    runs = {}
+
+    def run(resolution, tol):
+        if (resolution, tol) not in runs:
+            out = tmp_path_factory.mktemp("budget")
+            micro = {"resolution": [resolution] * 2, "solver": {"tol": tol}}
+            summary = run_multiscale(dict(BUDGET_PLATE, micro=micro), out)
+            runs[resolution, tol] = (summary["reaction_table"][-1]["reaction"],
+                                     read_array(out / "stress_m.f64.bin"))
+        return runs[resolution, tol]
+
+    return run
+
+
+def _macro_errors(got, want):
+    """Relative reaction error and the largest relative element-stress error."""
+    stress = np.linalg.norm(got[1] - want[1], axis=1) / np.linalg.norm(want[1], axis=1)
+    return abs(got[0] / want[0] - 1.0), stress.max()
+
+
+class TestErrorBudget:
+    def test_cell_tol_bounds_the_macro_error(self, budget_run):
+        # measured 2.0 tol on the reaction and 2.6 tol on element stress
+        reaction, stress = _macro_errors(budget_run(64, LOOSE_TOL), budget_run(64, 1e-9))
+        assert reaction <= 5 * LOOSE_TOL and stress <= 10 * LOOSE_TOL
+
+    def test_finer_cells_shrink_the_macro_error(self, budget_run):
+        # against 128^2 cells the error falls 2.03x (reaction) and 1.95x
+        # (element stress) from 32^2 to 64^2, where it is 5.6% and 6.8%
+        fine = budget_run(128, LOOSE_TOL)
+        coarse = _macro_errors(budget_run(32, LOOSE_TOL), fine)
+        default = _macro_errors(budget_run(64, LOOSE_TOL), fine)
+        assert coarse[0] > 1.5 * default[0] and coarse[1] > 1.5 * default[1]
