@@ -176,6 +176,7 @@ def write_sample(sdir, rve, fiber, matrix, conc, index, seed, vof_target) -> dic
         "domain_size": list(rve.domain_size),
         "properties": dict(zip(SAMPLE_PROPERTIES, (fiber.E, fiber.nu, matrix.E, matrix.nu))),
         "tol": conc.metadata["tol"],
+        "lame0": list(conc.metadata["lame0"]),
         "loads": conc.metadata["loads"],
     }
     partial = sdir / "sample.json.partial"  # replaced in whole, so never truncated

@@ -33,7 +33,7 @@ class Microstructure:
     seed: int
     centers_radii: Optional[np.ndarray] = None  # (n, 3) rows (x, y, r)
     kind: str = "fiber"
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # a spinodal cell's mean_concentration
 
 
 @dataclass(frozen=True)
@@ -217,13 +217,6 @@ def generate_fiber_rve(
                 seed=seed,
                 centers_radii=np.column_stack([pos, radii]),
                 kind="fiber",
-                metadata={
-                    "vof_target": vof_target,
-                    "r_mean": r_mean,
-                    "r_std_frac": r_std_frac,
-                    "gap": gap,
-                    "n_fibers": int(n_fibers),
-                },
             )
     raise PackingError(
         f"could not pack vof={vof_target} with r_mean={r_mean} "
@@ -283,15 +276,7 @@ def generate_spinodal_rve(
         seed=seed,
         centers_radii=None,
         kind="spinodal",
-        metadata={
-            "steps": params.steps,
-            "dt": params.dt,
-            "interface_width": params.interface_width,
-            "mobility": params.mobility,
-            "threshold": params.threshold,
-            "initial_noise_amplitude": params.initial_noise_amplitude,
-            "mean_concentration": float(c.mean()),
-        },
+        metadata={"mean_concentration": float(c.mean())},
     )
 
 

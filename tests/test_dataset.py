@@ -22,7 +22,7 @@ from microhom.dataset import (
     validate_dataset,
 )
 from microhom.errors import ConfigError, DomainError, PackingError
-from microhom.homogenization import homogenized_stiffness
+from microhom.homogenization import cell_operator, homogenized_stiffness
 from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.solver import SolverConfig
 from microhom.voigt import IsotropicProps
@@ -311,6 +311,14 @@ class TestGenerateDataset:
         conc.metadata["tol"] = 1e-9
         with pytest.warns(UserWarning, match="homogenized stiffness asymmetry"):
             homogenized_stiffness(c_field, conc)
+
+    def test_sample_records_the_reference_medium_of_its_solve(self, small_dataset):
+        out, cfg, manifest = small_dataset
+        for entry in manifest["samples"]:
+            grid, fiber, matrix, _ = read_sample(out / entry["dir"])
+            lame0 = cell_operator(assign_properties(grid, fiber, matrix), cfg.domain_size).lame0
+            info = json.loads((out / entry["dir"] / "sample.json").read_text(encoding="utf-8"))
+            assert info["lame0"] == entry["lame0"] == [lame0.lam, lame0.mu]
 
     def test_workers_match_serial(self, tmp_path):
         # the caller's and the pool's shares merge back in index order

@@ -1,5 +1,8 @@
 """Macro plate solver, hourglass control, random modulus fields, recovery."""
 
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -8,7 +11,7 @@ from microhom import plate
 from microhom.arrayio import read_array
 from microhom.dataset import read_sample, write_sample
 from microhom.errors import ConfigError, DomainError, MeshError, NonConvergenceError
-from microhom.homogenization import ConcentrationField, homogenized_stiffness
+from microhom.homogenization import ConcentrationField, cell_operator, homogenized_stiffness
 from microhom.microstructure import assign_properties, generate_fiber_rve
 from microhom.plate import (
     GRFConfig,
@@ -305,29 +308,77 @@ class TestKlField:
         assert np.array_equal(kl_field(mesh, cfg), kl_field(mesh, cfg))
 
     def test_monte_carlo_moments(self):
-        # The draws span K modes, the fewest carrying 95% of the covariance
-        # trace.  At three probe elements the sample mean is within 3
-        # standard errors of the mean and the sample variance within 10% of
-        # the truncated expansion's own, sum_{k<K} lambda_k v_k(p)^2, which
-        # sits up to 8% below std^2 here.
-        mesh = rect_plate_mesh(5, 5, 0.05, 0.05)
+        # The oracle is the dense path: the E x E covariance, its eigh and the
+        # same 95%-of-trace rule.  The draws span K modes, the dense rule's K
+        # (6 of 25 on the square mesh, 5 of 28 on the 4 x 7 one with
+        # 0.05 x 0.03 elements); the rule is unchanged, so is K.  At three
+        # probe elements the sample mean is within 3 standard errors of the
+        # mean and the sample variance within 10% of the truncated
+        # expansion's own, sum_{k<K} lambda_k v_k(p)^2, which sits up to 8%
+        # below std^2 here.  At probe pairs from neighbours to far corners,
+        # along x and along y, the sample correlation is within 3 standard
+        # errors, 3 (1 - rho^2) / sqrt(n), of the truncated expansion's rho.
         n_draws, std = 10_000, 2.0
-        draws = np.array([
-            kl_field(mesh, GRFConfig(74.0, std=std, corr_length=0.1, seed=s))
-            for s in range(n_draws)
+        for (nx, ny, w, h), k_dense in (((5, 5, 0.05, 0.05), 6), ((4, 7, 0.05, 0.03), 5)):
+            mesh = rect_plate_mesh(nx, ny, w, h)
+            n_el = nx * ny
+            draws = np.array([
+                kl_field(mesh, GRFConfig(74.0, std=std, corr_length=0.1, seed=s))
+                for s in range(n_draws)
+            ])
+            centroids = mesh.nodes[mesh.elems].mean(axis=1)
+            d2 = ((centroids[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            vals, vecs = np.linalg.eigh(std**2 * np.exp(-d2 / (2.0 * 0.1**2)))
+            vals, vecs = np.clip(vals[::-1], 0.0, None), vecs[:, ::-1]
+            share = np.cumsum(vals) / vals.sum()
+            k = np.linalg.matrix_rank(draws - 74.0)
+            assert k == k_dense and share[k - 2] < 0.95 <= share[k - 1]
+            cov = (vecs[:, :k] * vals[:k]) @ vecs[:, :k].T
+            for probe in (0, n_el // 2, n_el - 1):
+                mean_err = abs(draws[:, probe].mean() - 74.0)
+                assert mean_err <= 3.0 * std / np.sqrt(n_draws)
+                assert abs(draws[:, probe].var() / cov[probe, probe] - 1.0) <= 0.10
+            sample_corr = np.corrcoef(draws, rowvar=False)
+            want_corr = cov / np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+            for p, q in ((0, 1), (0, nx), (0, nx + 1), (0, 2), (0, 2 * nx), (0, n_el - 1),
+                         (n_el // 2, n_el // 2 + 1)):
+                rho = want_corr[p, q]
+                assert abs(sample_corr[p, q] - rho) <= 3.0 * (1.0 - rho**2) / np.sqrt(n_draws)
+
+    @pytest.mark.parametrize("keep", [[0, 1, 2], [0, 0, 3, 3]])
+    def test_centroids_must_form_a_tensor_grid(self, keep):
+        # an L of three elements, and four elements on two grid cells
+        mesh = rect_plate_mesh(2, 2, 0.05, 0.05)
+        mesh.elems = mesh.elems[keep]
+        with pytest.raises(MeshError, match="^element centroids do not form a tensor grid$"):
+            kl_field(mesh, GRFConfig(74.0, std=2.0))
+
+    def test_plate_scale_field_stays_small(self):
+        # 20,000 elements: the dense path's distance array and covariance
+        # need about 9.6 GB; the per-axis eigenpairs peak at 2.4 MB.
+        mesh = rect_plate_mesh(100, 200, 0.05, 0.05)
+        tracemalloc.start()
+        try:
+            field = kl_field(mesh, GRFConfig(74.0, std=2.0, corr_length=0.1, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert field.shape == (20_000,) and np.isfinite(field).all()
+        assert peak <= 5e6
+
+    def test_extreme_lengths_and_std_stay_finite(self):
+        # Far pairs give exp(-inf) = 0 with no overflow warning (tier-1 turns
+        # a RuntimeWarning into an error), and std only scales the expansion.
+        mesh = rect_plate_mesh(4, 7, 0.05, 0.03)
+        flat = np.array([
+            kl_field(mesh, GRFConfig(74.0, std=2.0, corr_length=1e300, seed=s)) for s in range(3)
         ])
-        centroids = mesh.nodes[mesh.elems].mean(axis=1)
-        d2 = ((centroids[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        vals, vecs = np.linalg.eigh(std**2 * np.exp(-d2 / (2.0 * 0.1**2)))
-        vals, vecs = np.clip(vals[::-1], 0.0, None), vecs[:, ::-1]
-        share = np.cumsum(vals) / vals.sum()
-        k = np.linalg.matrix_rank(draws - 74.0)
-        assert 1 < k < len(vals) and share[k - 2] < 0.95 <= share[k - 1]
-        kept = (vals[:k] * vecs[:, :k] ** 2).sum(axis=1)
-        for probe in (0, 12, 24):
-            mean_err = abs(draws[:, probe].mean() - 74.0)
-            assert mean_err <= 3.0 * std / np.sqrt(n_draws)
-            assert abs(draws[:, probe].var() / kept[probe] - 1.0) <= 0.10
+        assert np.linalg.matrix_rank(flat - 74.0) == 1  # one kept mode
+        assert np.ptp(flat, axis=1).max() <= 1e-12 * 74.0 and np.all(flat[:, 0] != 74.0)
+        rough = kl_field(mesh, GRFConfig(74.0, std=2.0, corr_length=1e-300, seed=1))
+        assert np.isfinite(rough).all() and np.ptp(rough) > 1.0
+        huge = kl_field(mesh, GRFConfig(74.0, std=1e300, corr_length=0.1, seed=1))
+        assert np.isfinite(huge).all()
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -403,9 +454,12 @@ class TestSurrogateSeam:
         grid, fiber, matrix, conc = read_sample(tmp_path / "out" / "micro" / "000000")
         # the plate's cells are solved at tol 1e-9, not the default 1e-6
         assert conc.metadata == {"tol": 1e-9}
+        info = json.loads((tmp_path / "out" / "micro" / "000000" / "sample.json").read_text())
+        c_field = assign_properties(grid, fiber, matrix)
+        lame0 = cell_operator(c_field, info["domain_size"]).lame0
+        assert info["lame0"] == [lame0.lam, lame0.mu]
         # A bump of A's 12 entry gives Cbar an asymmetry of 1e-7 ||Cbar||:
         # over the recorded tol's threshold 1e-8, under the default's 1e-5.
-        c_field = assign_properties(grid, fiber, matrix)
         cbar = homogenized_stiffness(c_field, conc, symmetrize=False)[0]
         bump = np.zeros((3, 3))
         bump[0, 1] = 1e-7 * np.linalg.norm(cbar) / c_field[..., 0, 0].mean()
